@@ -1,6 +1,7 @@
 #include "core/popular.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_set>
@@ -15,20 +16,54 @@ using graph::Vertex;
 
 namespace {
 
-std::uint64_t pair_key(Vertex v, Vertex origin) {
-  return (static_cast<std::uint64_t>(v) << 32) | origin;
-}
-
-void validate(const Graph& g, const std::vector<Vertex>& sources,
-              std::uint64_t delta, std::uint64_t cap) {
+/// Rejects malformed inputs; returns the source indicator (is_source[v]).
+std::vector<std::uint8_t> validate(const Graph& g,
+                                   const std::vector<Vertex>& sources,
+                                   std::uint64_t delta, std::uint64_t cap) {
   if (delta == 0) throw std::invalid_argument("algorithm1: delta == 0");
   if (cap == 0) throw std::invalid_argument("algorithm1: cap == 0");
+  std::vector<std::uint8_t> is_source(g.num_vertices(), 0);
   for (Vertex s : sources) {
     if (s >= g.num_vertices()) {
       throw std::invalid_argument("algorithm1: source out of range");
     }
+    if (is_source[s] != 0) {
+      throw std::invalid_argument("algorithm1: duplicate source");
+    }
+    is_source[s] = 1;
   }
+  return is_source;
 }
+
+/// An origin a vertex broadcasts in one layer, with the neighbor it learned
+/// the origin from (kInvalidVertex for a center announcing itself).
+struct Offer {
+  Vertex origin = kInvalidVertex;
+  Vertex via = kInvalidVertex;
+};
+
+/// The vertices that accepted origins in one layer and broadcast them in the
+/// next: vertices[i] offers offers[ends[i-1] .. ends[i]), ascending by origin.
+struct Frontier {
+  std::vector<Vertex> vertices;
+  std::vector<std::size_t> ends;
+  std::vector<Offer> offers;
+
+  [[nodiscard]] bool empty() const { return vertices.empty(); }
+  [[nodiscard]] std::span<const Offer> offers_of(std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    return {offers.data() + begin, ends[i] - begin};
+  }
+  void close(Vertex v) {
+    vertices.push_back(v);
+    ends.push_back(offers.size());
+  }
+  void clear() {
+    vertices.clear();
+    ends.clear();
+    offers.clear();
+  }
+};
 
 }  // namespace
 
@@ -44,62 +79,87 @@ Algorithm1Result run_algorithm1(const Graph& g,
                                 const std::vector<Vertex>& sources,
                                 std::uint64_t delta, std::uint64_t cap,
                                 congest::Ledger* ledger) {
-  validate(g, sources, delta, cap);
+  const std::vector<std::uint8_t> is_source = validate(g, sources, delta, cap);
   const Vertex n = g.num_vertices();
 
   Algorithm1Result res;
   res.knowledge.resize(n);
   res.popular.assign(n, 0);
 
-  // (vertex, origin) pairs already accepted (or origin == vertex).
-  std::unordered_set<std::uint64_t> known;
-  known.reserve(sources.size() * 4);
-
-  // Frontier: per vertex, the origins accepted in the previous layer that
-  // must be forwarded in this layer.  Layer 0: every source announces itself.
-  std::vector<std::pair<Vertex, std::vector<Vertex>>> frontier;
-  {
-    std::vector<Vertex> sorted_sources = sources;
-    std::sort(sorted_sources.begin(), sorted_sources.end());
-    for (Vertex s : sorted_sources) {
-      known.insert(pair_key(s, s));
-      frontier.push_back({s, {s}});
-    }
+  // Layer 0: every source announces itself.
+  Frontier frontier;
+  for (Vertex s = 0; s < n; ++s) {
+    if (is_source[s] == 0) continue;
+    frontier.offers.push_back({.origin = s, .via = kInvalidVertex});
+    frontier.close(s);
   }
+  Frontier next;
 
-  // arrival = (receiver, origin, sender); sorted per layer for determinism.
-  std::vector<std::tuple<Vertex, Vertex, Vertex>> arrivals;
+  // slot[u]: 1 + u's index in the frontier, 0 if u is not in it.
+  std::vector<std::size_t> slot(n, 0);
+  // Epoch marks: receiver_layer[w] == layer once w is queued this layer;
+  // known[o] == stamp while the receiver being scanned knows origin o.
+  std::vector<std::uint64_t> receiver_layer(n, 0);
+  std::vector<std::uint64_t> known(n, 0);
+  std::uint64_t stamp = 0;
+  std::vector<Vertex> receivers;
+  std::vector<Offer> fresh;  // (origin, smallest sender) new to a receiver
 
   for (std::uint64_t layer = 1; layer <= delta && !frontier.empty(); ++layer) {
-    arrivals.clear();
-    for (const auto& [u, origins] : frontier) {
+    const auto dist = static_cast<std::uint32_t>(layer);
+    receivers.clear();
+    for (std::size_t i = 0; i < frontier.vertices.size(); ++i) {
+      const Vertex u = frontier.vertices[i];
+      const std::span<const Offer> offers = frontier.offers_of(i);
+      slot[u] = i + 1;
       // Broadcasting k origins over a cap-round layer puts k <= cap messages
       // on each incident edge-direction: the CONGEST window invariant.
       res.max_edge_layer_load =
-          std::max<std::uint64_t>(res.max_edge_layer_load, origins.size());
+          std::max<std::uint64_t>(res.max_edge_layer_load, offers.size());
+      res.messages += offers.size() * g.degree(u);
       for (Vertex w : g.neighbors(u)) {
-        for (Vertex o : origins) arrivals.emplace_back(w, o, u);
+        if (receiver_layer[w] == layer || res.knowledge[w].size() >= cap) {
+          continue;  // already queued, or list full: every arrival discarded
+        }
+        // w already knows every origin it delivered to u.
+        const auto from_w = [w](const Offer& o) { return o.via == w; };
+        if (std::ranges::all_of(offers, from_w)) continue;
+        receiver_layer[w] = layer;
+        receivers.push_back(w);
       }
-      res.messages += origins.size() * g.degree(u);
     }
-    std::sort(arrivals.begin(), arrivals.end());
+    res.receivers_scanned += receivers.size();
 
-    std::vector<std::pair<Vertex, std::vector<Vertex>>> next;
-    Vertex current = kInvalidVertex;
-    std::vector<Vertex>* bucket = nullptr;
-    for (const auto& [w, o, u] : arrivals) {
-      if (res.knowledge[w].size() >= cap) continue;  // list full: discard
-      if (!known.insert(pair_key(w, o)).second) continue;  // already known
-      res.knowledge[w].push_back(
-          {.origin = o, .dist = static_cast<std::uint32_t>(layer), .parent = u});
-      if (w != current) {
-        next.push_back({w, {}});
-        bucket = &next.back().second;
-        current = w;
+    // A receiver's acceptances depend only on earlier layers, so the
+    // receivers may be visited in any order.
+    next.clear();
+    for (Vertex w : receivers) {
+      std::vector<Knowledge>& list = res.knowledge[w];
+      ++stamp;
+      if (is_source[w] != 0) known[w] = stamp;
+      for (const Knowledge& k : list) known[k.origin] = stamp;
+      // Neighbors ascend, so the first sender of an origin is the smallest.
+      fresh.clear();
+      for (Vertex u : g.neighbors(w)) {
+        if (slot[u] == 0) continue;
+        for (const Offer& o : frontier.offers_of(slot[u] - 1)) {
+          if (known[o.origin] == stamp) continue;
+          known[o.origin] = stamp;
+          fresh.push_back({.origin = o.origin, .via = u});
+        }
       }
-      bucket->push_back(o);
+      if (fresh.empty()) continue;
+      res.buffered += fresh.size();
+      std::ranges::sort(fresh, {}, &Offer::origin);
+      const std::size_t take = std::min(fresh.size(), cap - list.size());
+      for (const Offer& o : std::span(fresh).first(take)) {
+        list.push_back({.origin = o.origin, .dist = dist, .parent = o.via});
+        next.offers.push_back(o);
+      }
+      next.close(w);
     }
-    frontier = std::move(next);
+    for (Vertex u : frontier.vertices) slot[u] = 0;
+    std::swap(frontier, next);
   }
 
   for (Vertex s : sources) {
@@ -120,15 +180,12 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
                                       std::uint64_t delta, std::uint64_t cap,
                                       congest::Ledger* ledger,
                                       const congest::SubstrateOptions& substrate) {
-  validate(g, sources, delta, cap);
+  const std::vector<std::uint8_t> is_source = validate(g, sources, delta, cap);
   const Vertex n = g.num_vertices();
 
   Algorithm1Result res;
   res.knowledge.resize(n);
   res.popular.assign(n, 0);
-
-  std::vector<std::uint8_t> is_source(n, 0);
-  for (Vertex s : sources) is_source[s] = 1;
 
   // Per-vertex state for the round-exact execution.  Everything below is
   // indexed by the executing vertex and touched by no one else, so the

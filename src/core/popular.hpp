@@ -23,11 +23,22 @@
 //      the cap-round window, checked against the ledger.
 //
 // Two implementations:
-//   * run_algorithm1       — event-driven (layered), fast; charges rounds per
-//                            the schedule above.
+//   * run_algorithm1       — a layered receiver-side (pull) pass, fast;
+//                            charges rounds per the schedule above and
+//                            messages arithmetically (origins × degree per
+//                            broadcasting vertex).  Each layer visits only the
+//                            non-full neighbors of the previous layer's
+//                            accepting vertices.  A visited receiver stamps
+//                            the origins it knows, scans its ascending
+//                            neighbors' fresh origins (so the first sender of
+//                            a new origin is the smallest), and accepts the
+//                            new origins in ascending ID until its list is
+//                            full.  Acceptance order is therefore (layer,
+//                            origin) and the parent is the smallest sender —
+//                            exactly the CONGEST execution's choices.
 //   * run_algorithm1_exact — executes on the exact per-round CONGEST engine;
 //                            used by the tests to cross-validate the
-//                            event-driven result bit-for-bit on small inputs.
+//                            fast result bit-for-bit on small inputs.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +68,17 @@ struct Algorithm1Result {
   std::uint64_t messages = 0;
   /// Worst per-edge-direction message count within one layer (must be ≤ cap).
   std::uint64_t max_edge_layer_load = 0;
+  /// Work counters of run_algorithm1 (0 from run_algorithm1_exact), both
+  /// deterministic.  buffered: arrival entries held for sorting — per
+  /// (layer, receiver), the distinct origins the receiver did not know yet.
+  /// receivers_scanned: (layer, receiver) visits.
+  std::uint64_t buffered = 0;
+  std::uint64_t receivers_scanned = 0;
 };
 
-/// Event-driven execution.  `sources` are the cluster centers S_i; `delta`
-/// and `cap` are δ_i and deg_i.  Rounds are charged to `ledger` if non-null.
+/// Fast execution.  `sources` are the cluster centers S_i (distinct, each
+/// < n, else std::invalid_argument); `delta` and `cap` are δ_i and deg_i.
+/// Rounds are charged to `ledger` if non-null.
 [[nodiscard]] Algorithm1Result run_algorithm1(
     const graph::Graph& g, const std::vector<graph::Vertex>& sources,
     std::uint64_t delta, std::uint64_t cap,
