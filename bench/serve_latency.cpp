@@ -218,8 +218,8 @@ int main(int argc, char** argv) {
       if (failure) std::rethrow_exception(failure);
     }
 
-    // Digest over the parsed distances — comparable to the nas_oracle /
-    // nas_serve stats digest for the same workload.
+    // Digest over the parsed distances — comparable to the nas_oracle
+    // stats digest for the same workload.
     std::vector<std::uint32_t> answers;
     answers.reserve(answer_lines.size());
     for (const auto& line : answer_lines) {

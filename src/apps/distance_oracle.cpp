@@ -29,6 +29,13 @@ std::string render_double(double v) {
   return buf;
 }
 
+/// Six significant digits, the rendering every stats/sink row uses for reals.
+std::string render_real(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  return buf;
+}
+
 std::uint64_t resolve_capacity(std::uint64_t budget_bytes, Vertex n) {
   if (n == 0) return 0;
   return budget_bytes / (static_cast<std::uint64_t>(n) * sizeof(std::uint32_t));
@@ -342,10 +349,40 @@ SpannerDistanceOracle SpannerDistanceOracle::load_file(const std::string& path,
   return load(in, options);
 }
 
+BatchStats& BatchStats::operator+=(const BatchStats& other) {
+  queries += other.queries;
+  distinct_sources += other.distinct_sources;
+  cache_hits += other.cache_hits;
+  bfs_passes += other.bfs_passes;
+  evictions += other.evictions;
+  shards = std::max(shards, other.shards);
+  return *this;
+}
+
 std::uint64_t digest_answers(std::span<const std::uint32_t> answers) {
   std::uint64_t h = util::mix64(answers.size());
   for (const auto a : answers) h = util::mix64(h ^ a);
   return h;
+}
+
+util::JsonObject oracle_stats_fields(const SpannerDistanceOracle& oracle,
+                                     const BatchStats& stats) {
+  using util::JsonValue;
+  return {
+      {"universe", JsonValue::number(
+                       static_cast<std::uint64_t>(oracle.num_vertices()))},
+      {"spanner_edges", JsonValue::number(static_cast<std::uint64_t>(
+                            oracle.spanner_edges()))},
+      {"guarantee_mult",
+       JsonValue::literal(render_real(oracle.multiplicative()))},
+      {"guarantee_add", JsonValue::literal(render_real(oracle.additive()))},
+      {"cache_capacity", JsonValue::number(oracle.cache_capacity())},
+      {"queries", JsonValue::number(stats.queries)},
+      {"distinct_sources", JsonValue::number(stats.distinct_sources)},
+      {"cache_hits", JsonValue::number(stats.cache_hits)},
+      {"bfs_passes", JsonValue::number(stats.bfs_passes)},
+      {"evictions", JsonValue::number(stats.evictions)},
+  };
 }
 
 }  // namespace nas::apps

@@ -13,9 +13,8 @@
 //
 // Serving model:
 //   * The oracle holds the spanner as a graph::Csr — two flat arrays the
-//     BFS hot loop streams through.  Csr copies share storage, so cloning
-//     an oracle across serving shards costs O(1) memory, and a v2 binary
-//     snapshot serves straight out of a file mapping.
+//     BFS hot loop streams through.  Csr copies share storage, so a v2
+//     binary snapshot serves straight out of a file mapping.
 //   * `batch_query` answers a whole request vector at once: the distinct
 //     BFS sources behind the batch are deduplicated and sharded across a
 //     util::ThreadPool, each worker running the direction-optimizing
@@ -56,6 +55,7 @@
 #include "graph/bfs_kernel.hpp"
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
+#include "util/json.hpp"
 
 namespace nas::apps {
 
@@ -89,6 +89,11 @@ struct BatchStats {
   /// count resolved against the uncached-source count (so it can be lower
   /// than requested on cache-hot or highly skewed batches).
   std::uint64_t shards = 0;
+
+  /// Folds another batch into running totals (the daemon keeps its
+  /// lifetime counters this way): every counter adds, `shards` keeps the
+  /// maximum.
+  BatchStats& operator+=(const BatchStats& other);
 };
 
 class SpannerDistanceOracle {
@@ -110,8 +115,7 @@ class SpannerDistanceOracle {
                         std::optional<core::Params> params = std::nullopt);
 
   /// Same, from a CSR view directly.  The Csr's storage is shared, not
-  /// copied — a serving cluster hands every shard the same arrays, and the
-  /// v2 snapshot loader hands over its file mapping.
+  /// copied — the v2 snapshot loader hands over its file mapping.
   SpannerDistanceOracle(graph::Csr spanner, double multiplicative,
                         double additive, OracleOptions options = {},
                         std::optional<core::Params> params = std::nullopt);
@@ -222,5 +226,15 @@ class SpannerDistanceOracle {
 /// cross-thread/cross-budget byte-identity of a whole serving run collapses
 /// to comparing one column.
 [[nodiscard]] std::uint64_t digest_answers(std::span<const std::uint32_t> answers);
+
+/// The serving-stats JSON schema: the structure (universe, spanner_edges,
+/// guarantee_mult/add, cache_capacity) followed by the counters in `stats`
+/// (queries, distinct_sources, cache_hits, bfs_passes, evictions).
+/// `nas_oracle --stats-json` appends its one-shot extras (digest, timings)
+/// and the nas_served STATS reply appends the server's connection counters;
+/// both start from this function so the two can never drift on field
+/// semantics.
+[[nodiscard]] util::JsonObject oracle_stats_fields(
+    const SpannerDistanceOracle& oracle, const BatchStats& stats);
 
 }  // namespace nas::apps

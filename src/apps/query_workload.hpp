@@ -47,12 +47,12 @@ struct WorkloadSpec {
 
 /// Reads "u v" request lines ('#' comments, blank lines allowed), with the
 /// graph::read_edge_list line-numbered error contract.  Shared by the
-/// serving CLIs (nas_oracle, nas_serve) so both accept the same files.
+/// serving CLIs (nas_oracle, serve_latency) so both accept the same files.
 [[nodiscard]] std::vector<Query> read_query_file(const std::string& path);
 
 /// Writes one "u v d" line per request in request order ("inf" for
 /// disconnected pairs).  This is the serving CLIs' answer format; CI's
-/// cross-shard/cross-thread cmp gates compare these bytes.
+/// cross-thread/cross-kernel cmp gates compare these bytes.
 void write_answers(const std::vector<Query>& queries,
                    const std::vector<std::uint32_t>& answers,
                    std::ostream& out);

@@ -9,11 +9,10 @@
 // byte-identical).
 //
 // A Csr never owns its arrays directly: it holds spans plus a shared_ptr
-// keep-alive.  That makes copies O(1) — a sharded serving cluster hands
-// every shard the same immutable arrays instead of replicating the spanner
-// per shard — and lets the v2 binary snapshot loader point the spans
-// straight into a util::MappedFile, so warming an oracle from disk is
-// zero-copy.
+// keep-alive.  That makes copies O(1) — every oracle built from one Csr
+// shares the same immutable arrays instead of replicating the spanner —
+// and lets the v2 binary snapshot loader point the spans straight into a
+// util::MappedFile, so warming an oracle from disk is zero-copy.
 #pragma once
 
 #include <cstdint>

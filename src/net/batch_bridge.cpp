@@ -4,12 +4,14 @@
 #include <utility>
 
 #include "net/posix_io.hpp"
+#include "util/timer.hpp"
 
 namespace nas::net {
 
-BatchBridge::BatchBridge(serve::ShardedCluster& cluster, unsigned serve_threads,
-                         std::size_t queue_depth, int wakeup_write_fd)
-    : cluster_(cluster),
+BatchBridge::BatchBridge(apps::SpannerDistanceOracle& oracle,
+                         unsigned serve_threads, std::size_t queue_depth,
+                         int wakeup_write_fd)
+    : oracle_(oracle),
       serve_threads_(serve_threads),
       queue_depth_(queue_depth == 0 ? 1 : queue_depth),
       wakeup_write_fd_(wakeup_write_fd),
@@ -44,9 +46,6 @@ std::vector<BatchResult> BatchBridge::drain_completions() {
 void BatchBridge::shutdown() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      // Second call: the worker is already draining (or gone).
-    }
     stopping_ = true;
   }
   work_ready_.notify_one();
@@ -73,22 +72,27 @@ void BatchBridge::worker_main() {
     switch (job.kind) {
       case BatchJob::Kind::kBatch:
         try {
-          result.answers =
-              cluster_.serve(result.queries, serve_threads_, &result.stats);
+          const util::Timer timer;
+          result.answers = oracle_.batch_query(result.queries, serve_threads_,
+                                               &result.stats);
           lifetime_ += result.stats;
+          ++serve_calls_;
+          batch_requests_.record(result.queries.size());
+          serve_latency_us_.record(
+              static_cast<std::uint64_t>(timer.seconds() * 1e6));
         } catch (const std::exception& e) {
           result.answers.clear();
           result.error = e.what();
         }
         break;
-      // Snapshots run here — between serves, on the thread that owns the
-      // cluster's counters — never on the loop thread, where they would
-      // race an in-flight serve().
+      // Snapshots run here — between batches, on the thread that owns the
+      // oracle's counters — never on the loop thread, where they would race
+      // an in-flight batch_query().
       case BatchJob::Kind::kStats:
-        result.snapshot = serve::cluster_stats_fields(cluster_, lifetime_);
+        result.snapshot = apps::oracle_stats_fields(oracle_, lifetime_);
         break;
       case BatchJob::Kind::kMetrics:
-        result.snapshot = serve::cluster_metrics_fields(cluster_);
+        result.snapshot = metrics_fields();
         break;
     }
 
@@ -101,6 +105,20 @@ void BatchBridge::worker_main() {
   // One parting wakeup so a loop blocked in wait() notices the worker is
   // done during shutdown even if no completion was pending.
   signal_wakeup(wakeup_write_fd_);
+}
+
+util::JsonObject BatchBridge::metrics_fields() const {
+  util::JsonObject fields{
+      {"serve_calls", util::JsonValue::number(serve_calls_)}};
+  metrics::append_histogram_fields(&fields, "batch_requests", batch_requests_);
+  metrics::Digest digest;
+  digest.add(serve_calls_);
+  digest.add(batch_requests_);
+  fields.emplace_back("metrics_digest", util::JsonValue::hex64(digest.value()));
+  // Wall-clock latency last: timing-only, excluded from metrics_digest.
+  metrics::append_histogram_fields(&fields, "serve_latency_us",
+                                   serve_latency_us_);
+  return fields;
 }
 
 }  // namespace nas::net

@@ -1,15 +1,15 @@
-// The bounded-queue bridge between the IO event loop and the sharded
-// cluster's batch path.
+// The bounded-queue bridge between the IO event loop and the oracle's
+// batch path.
 //
 // The event loop must never block on a BFS: it stays IO-only, and all
 // answering happens on a dedicated worker thread that feeds
-// ShardedCluster::serve (which is one-serve-at-a-time by contract and
-// parallelizes internally across its shard oracles).  The bridge is the
-// only cross-thread seam in the daemon:
+// SpannerDistanceOracle::batch_query (one call at a time by the oracle's
+// contract; it parallelizes internally across `serve_threads` BFS
+// workers).  The bridge is the only cross-thread seam in the daemon:
 //
 //   loop thread                      worker thread
 //   -----------                      -------------
-//   try_submit(job) --> [bounded FIFO] --> pop, cluster.serve(...)
+//   try_submit(job) --> [bounded FIFO] --> pop, oracle.batch_query(...)
 //   drain_completions() <-- [FIFO] <------ push result, wakeup byte
 //
 // Ordering guarantee: jobs complete in submission order (single worker,
@@ -34,17 +34,18 @@
 #include <vector>
 
 #include "apps/distance_oracle.hpp"
-#include "serve/cluster.hpp"
+#include "metrics/metrics.hpp"
 #include "util/json.hpp"
 
 namespace nas::net {
 
 struct BatchJob {
   /// What the worker should do.  kStats/kMetrics jobs carry no queries:
-  /// they exist so cumulative cluster counters and metrics are *read on the
+  /// they exist so cumulative oracle counters and metrics are *read on the
   /// thread that mutates them* — snapshotting on the loop thread while a
-  /// serve() is in flight would race the worker.  Routing snapshots through
-  /// the same FIFO also sequences them against the batches around them.
+  /// batch_query() is in flight would race the worker.  Routing snapshots
+  /// through the same FIFO also sequences them against the batches around
+  /// them.
   enum class Kind { kBatch, kStats, kMetrics };
   Kind kind = Kind::kBatch;
   std::uint64_t connection_id = 0;
@@ -56,20 +57,20 @@ struct BatchResult {
   std::uint64_t connection_id = 0;
   std::vector<apps::Query> queries;   ///< echoed for answer rendering
   std::vector<std::uint32_t> answers; ///< empty when `error` is set
-  serve::ClusterStats stats;
-  /// kStats: cluster_stats_fields(cluster, lifetime counters);
-  /// kMetrics: cluster_metrics_fields(cluster).  The loop thread appends
-  /// its connection counters and renders.
+  apps::BatchStats stats;
+  /// kStats: apps::oracle_stats_fields(oracle, lifetime counters);
+  /// kMetrics: the bridge's work metrics.  The loop thread appends its
+  /// connection counters to a STATS snapshot and renders.
   util::JsonObject snapshot;
-  std::string error;                  ///< non-empty: serve() threw
+  std::string error;                  ///< non-empty: batch_query() threw
 };
 
 class BatchBridge {
  public:
-  /// `serve_threads` is passed through to every cluster.serve call;
+  /// `serve_threads` is passed through to every oracle.batch_query call;
   /// `wakeup_write_fd` receives one byte per completion (and one at worker
   /// exit) so the event loop never needs to poll the bridge.
-  BatchBridge(serve::ShardedCluster& cluster, unsigned serve_threads,
+  BatchBridge(apps::SpannerDistanceOracle& oracle, unsigned serve_threads,
               std::size_t queue_depth, int wakeup_write_fd);
   ~BatchBridge();
   BatchBridge(const BatchBridge&) = delete;
@@ -90,17 +91,11 @@ class BatchBridge {
   /// the destructor; safe to call twice.
   void shutdown();
 
-  /// Lifetime cluster counters accumulated by the worker (one += per batch,
-  /// in completion order).  Only safe after shutdown() has joined the
-  /// worker — the daemon reads it once, for the final --stats-json report.
-  [[nodiscard]] const serve::ClusterStats& lifetime() const {
-    return lifetime_;
-  }
-
  private:
   void worker_main();
+  [[nodiscard]] util::JsonObject metrics_fields() const;
 
-  serve::ShardedCluster& cluster_;
+  apps::SpannerDistanceOracle& oracle_;
   const unsigned serve_threads_;
   const std::size_t queue_depth_;
   const int wakeup_write_fd_;
@@ -112,7 +107,17 @@ class BatchBridge {
   bool stopping_ = false;
 
   std::size_t in_flight_ = 0;  ///< loop thread only
-  serve::ClusterStats lifetime_;  ///< worker thread only (until joined)
+
+  // Worker thread only.  Every field except serve_latency_us is a pure
+  // function of the batch history; metrics_digest covers exactly those.
+  apps::BatchStats lifetime_;  ///< one += per batch, in completion order
+  std::uint64_t serve_calls_ = 0;
+  /// Requests per batch (pow2 buckets 1..2^16).
+  metrics::Histogram batch_requests_ = metrics::Histogram::pow2(17);
+  /// Wall-clock batch_query latency in µs (pow2 buckets 1..2^25, ~33 s) —
+  /// timing-only: exported for humans, excluded from metrics_digest.
+  metrics::Histogram serve_latency_us_ = metrics::Histogram::pow2(26);
+
   std::thread worker_;
 };
 

@@ -5,17 +5,16 @@
 //
 //   Q <u> <v>     one distance request; the reply is one "<u> <v> <d>" line
 //                 (d = spanner distance, or "inf" for disconnected pairs) —
-//                 byte-identical to the nas_oracle/nas_serve answer format.
+//                 byte-identical to the nas_oracle answer format.
 //   BATCH <n>     exactly n "<u> <v>" body lines follow; the reply is n
 //                 answer lines in request order.  n may be 0 (no reply).
-//   STATS         one JSON object line: cluster configuration + cumulative
-//                 serving counters (the nas_serve --stats-json schema plus
-//                 the server's connection counters).
-//   METRICS       one JSON object line: the cluster's work metrics — batch
-//                 and replica-depth histograms, queue-depth high-water
-//                 marks, lifetime per-replica counters, metrics_digest —
-//                 plus the timing-only serve-latency histogram (the
-//                 serve::cluster_metrics_fields schema).
+//   STATS         one JSON object line: the oracle's structure + cumulative
+//                 serving counters (apps::oracle_stats_fields, the
+//                 nas_oracle --stats-json core) plus the server's
+//                 connection counters.
+//   METRICS       one JSON object line: the daemon's work metrics —
+//                 serve_calls, the batch-size histogram, metrics_digest —
+//                 plus the timing-only serve_latency_us histogram.
 //   QUIT          the server replies "BYE" and closes after flushing.
 //
 // Anything else is answered with one "ERR <reason>" line.  Errors that
@@ -25,7 +24,7 @@
 // is therefore unknown) close it after the ERR is flushed.
 //
 // Parsing is strict: vertex ids are decimal, overflow-checked, and
-// validated against the cluster's vertex universe before a request is ever
+// validated against the oracle's vertex universe before a request is ever
 // submitted, so the serving path never throws on user input.
 #pragma once
 
@@ -58,7 +57,7 @@ struct ParseOutcome {
 };
 
 /// Parses one command line (terminator already stripped).  `universe` is the
-/// cluster's vertex count; ids >= universe are rejected here.  `max_batch`
+/// oracle's vertex count; ids >= universe are rejected here.  `max_batch`
 /// bounds the BATCH header.  Blank lines are reported as errors — callers
 /// skip them before parsing.
 [[nodiscard]] ParseOutcome parse_request_line(std::string_view line,

@@ -66,7 +66,7 @@ class Server::Impl {
  public:
   explicit Impl(Server& server)
       : s_(server),
-        bridge_(server.cluster_, server.options_.serve_threads,
+        bridge_(server.oracle_, server.options_.serve_threads,
                 server.options_.queue_depth,
                 server.wakeup_.write_end.get()) {}
 
@@ -328,8 +328,8 @@ class Server::Impl {
         conn.batch_error.clear();
         break;
       case Request::Kind::kStats: {
-        // Snapshots route through the bridge: the worker owns every cluster
-        // counter, so reading them here would race an in-flight serve().
+        // Snapshots route through the bridge: the worker owns every oracle
+        // counter, so reading them here would race an in-flight batch.
         ++s_.totals_.stats_requests;
         BatchJob job;
         job.kind = BatchJob::Kind::kStats;
@@ -382,7 +382,7 @@ class Server::Impl {
   void handle_completions(double now) {
     for (auto& result : bridge_.drain_completions()) {
       if (result.kind == BatchJob::Kind::kBatch) {
-        s_.totals_.cluster += result.stats;
+        s_.totals_.oracle += result.stats;
       }
       const auto idit = id_to_fd_.find(result.connection_id);
       if (idit == id_to_fd_.end()) continue;  // connection died in flight
@@ -390,7 +390,7 @@ class Server::Impl {
       Connection& conn = conns_.at(fd);
       conn.awaiting_result = false;
       if (!result.error.empty()) {
-        // serve() threw — should be unreachable for validated requests, but
+        // batch_query() threw — unreachable for validated requests, but
         // the reply count is now unknowable, so the framing is forfeit.
         send_line(conn, "ERR internal: " + result.error, now);
         conn.want_close = true;
@@ -518,30 +518,18 @@ class Server::Impl {
   }
 
   [[nodiscard]] graph::Vertex universe() const {
-    return s_.cluster_.universe();
+    // The vertex count is fixed at construction, so reading it here never
+    // races the worker.
+    return s_.oracle_.num_vertices();
   }
 
   /// The loop thread's own counters, appended to a worker-built STATS
   /// snapshot at completion time.
   void append_server_fields(util::JsonObject* fields) const {
-    const auto& t = s_.totals_;
-    fields->emplace_back("connections_accepted",
-                         util::JsonValue::number(t.connections_accepted));
-    fields->emplace_back("connections_rejected",
-                         util::JsonValue::number(t.connections_rejected));
+    append_totals_fields(fields, s_.totals_);
     fields->emplace_back(
         "connections_open",
         util::JsonValue::number(static_cast<std::uint64_t>(conns_.size())));
-    fields->emplace_back("served_requests",
-                         util::JsonValue::number(t.requests));
-    fields->emplace_back("served_batches", util::JsonValue::number(t.batches));
-    fields->emplace_back("stats_requests",
-                         util::JsonValue::number(t.stats_requests));
-    fields->emplace_back("metrics_requests",
-                         util::JsonValue::number(t.metrics_requests));
-    fields->emplace_back("protocol_errors",
-                         util::JsonValue::number(t.protocol_errors));
-    fields->emplace_back("idle_closed", util::JsonValue::number(t.idle_closed));
   }
 
   Server& s_;
@@ -560,8 +548,26 @@ class Server::Impl {
   double drain_deadline_ms_ = 0;
 };
 
-Server::Server(serve::ShardedCluster& cluster, const ServerOptions& options)
-    : cluster_(cluster), options_(options) {
+void append_totals_fields(util::JsonObject* fields,
+                          const ServerTotals& totals) {
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"connections_accepted", totals.connections_accepted},
+      {"connections_rejected", totals.connections_rejected},
+      {"served_requests", totals.requests},
+      {"served_batches", totals.batches},
+      {"stats_requests", totals.stats_requests},
+      {"metrics_requests", totals.metrics_requests},
+      {"protocol_errors", totals.protocol_errors},
+      {"idle_closed", totals.idle_closed},
+  };
+  for (const auto& [name, value] : counters) {
+    fields->emplace_back(name, util::JsonValue::number(value));
+  }
+}
+
+Server::Server(apps::SpannerDistanceOracle& oracle,
+               const ServerOptions& options)
+    : oracle_(oracle), options_(options) {
   listen_fd_ = open_listen_socket(options_.listen, options_.port,
                                   /*backlog=*/128, &bound_port_);
   wakeup_ = open_wakeup_pipe();

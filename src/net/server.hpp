@@ -1,16 +1,16 @@
 // The nas_served event loop: a single-threaded readiness server speaking
-// the `src/net/protocol.hpp` line protocol over the sharded cluster.
+// the `src/net/protocol.hpp` line protocol over one distance oracle.
 //
 // Threading model — exactly two threads touch a running Server:
 //
 //   * the loop thread (run()) owns every socket, buffer, and connection
 //     state; it never computes a distance.
-//   * the BatchBridge worker owns the cluster; it never touches a socket.
+//   * the BatchBridge worker owns the oracle; it never touches a socket.
 //
 // The only shared state is the bridge's two locked FIFOs plus one atomic
 // stop flag, so the TSan job can hold the whole design in its head.
 // STATS/METRICS snapshots obey the same split: the loop thread never reads
-// a cluster counter directly (that would race an in-flight serve()) — it
+// an oracle counter directly (that would race an in-flight batch) — it
 // submits a snapshot job, the worker captures the fields between serves,
 // and the loop appends its own connection counters before replying.
 //
@@ -34,9 +34,10 @@
 #include <cstdint>
 #include <string>
 
+#include "apps/distance_oracle.hpp"
 #include "net/batch_bridge.hpp"
 #include "net/posix_io.hpp"
-#include "serve/cluster.hpp"
+#include "util/json.hpp"
 
 namespace nas::net {
 
@@ -48,12 +49,12 @@ struct ServerOptions {
   std::size_t max_line_bytes = 4096;      ///< per-line cap; overlong = fatal
   std::uint64_t max_batch = 1ull << 16;   ///< BATCH n ceiling
   std::size_t queue_depth = 64;           ///< bridge jobs buffered at most
-  unsigned serve_threads = 1;  ///< cluster.serve threads per batch (0 = all)
+  unsigned serve_threads = 1;  ///< batch_query threads per batch (0 = all)
   std::uint64_t drain_timeout_ms = 5000;  ///< graceful-shutdown bound
 };
 
 /// Lifetime counters, readable after run() returns (or from the loop
-/// thread).  `cluster` accumulates every answered batch's ClusterStats.
+/// thread).  `oracle` accumulates every answered batch's BatchStats.
 struct ServerTotals {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;  ///< turned away at max_conns
@@ -63,14 +64,19 @@ struct ServerTotals {
   std::uint64_t metrics_requests = 0;
   std::uint64_t protocol_errors = 0;       ///< ERR lines sent
   std::uint64_t idle_closed = 0;
-  serve::ClusterStats cluster;
+  apps::BatchStats oracle;
 };
+
+/// Appends the connection counters in `totals` (everything but `oracle`)
+/// to a stats JSON object.  The STATS reply and nas_served's final
+/// --stats-json file both use it, after apps::oracle_stats_fields.
+void append_totals_fields(util::JsonObject* fields, const ServerTotals& totals);
 
 class Server {
  public:
   /// Binds and listens immediately (so `port()` is valid before `run`),
   /// but accepts nothing until `run` starts.  Throws on bind failure.
-  Server(serve::ShardedCluster& cluster, const ServerOptions& options);
+  Server(apps::SpannerDistanceOracle& oracle, const ServerOptions& options);
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -90,7 +96,7 @@ class Server {
   struct Connection;
   class Impl;
 
-  serve::ShardedCluster& cluster_;
+  apps::SpannerDistanceOracle& oracle_;
   const ServerOptions options_;
   UniqueFd listen_fd_;
   std::uint16_t bound_port_ = 0;

@@ -49,13 +49,7 @@ struct ResultRow {
   // Oracle serving results (valid iff `served`; spec.workload != "off").
   // `oracle_digest` is apps::digest_answers over the batch answers — a pure
   // function of the spec, so sink byte-identity across query-thread counts
-  // and cache budgets covers the served answers too.  When the spec requests
-  // a serving cluster (spec.cluster_shards >= 1) the batch runs through a
-  // serve::ShardedCluster instead of one oracle; the counters below then
-  // hold the cluster-wide totals (summed over shards), the digest covers the
-  // merged answers — equal to the single-oracle digest by the cluster's
-  // byte-identity contract — and `cluster_shards_used` records how many
-  // shards received traffic.
+  // and cache budgets covers the served answers too.
   bool served = false;
   std::uint64_t oracle_queries = 0;
   std::uint64_t oracle_shards = 0;     ///< BFS shards the batch actually used
@@ -64,11 +58,6 @@ struct ResultRow {
   std::uint64_t oracle_bfs_passes = 0;
   std::uint64_t oracle_evictions = 0;
   std::uint64_t oracle_digest = 0;
-  std::uint64_t cluster_shards_used = 0;  ///< shards with >= 1 routed request
-  /// Replica-group results (cluster path only; all deterministic).
-  std::uint64_t cluster_sheds = 0;  ///< admission-control reroutes
-  std::uint64_t cluster_queue_high_water = 0;  ///< max planned replica depth
-  std::uint64_t cluster_counter_digest = 0;    ///< ClusterStats::digest()
   /// Snapshot round-trip results (spec.snapshot_format != "none"): the
   /// on-disk size of the saved snapshot.  Deterministic — v1 is canonical
   /// text, v2 a fixed-layout binary image — so the sinks always emit it.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/bfs.hpp"
+#include "graph/bfs_kernel.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -72,13 +73,13 @@ TEST(Csr, BfsByteIdenticalToAdjacencyList) {
     const Graph g = graph::make_workload(family, 200, 7);
     const Csr c = Csr::from_graph(g);
     const auto n = g.num_vertices();
-    std::vector<std::uint32_t> dist_g, dist_c;
-    std::vector<Vertex> frontier;
+    std::vector<std::uint32_t> dist_c(n);
+    graph::BfsScratch scratch;
     for (const Vertex s : {Vertex{0}, static_cast<Vertex>(n / 2),
                            static_cast<Vertex>(n - 1)}) {
-      graph::bfs_into(g, s, dist_g, frontier);
-      graph::bfs_into(c, s, dist_c, frontier);
-      ASSERT_EQ(dist_c, dist_g) << family << " source " << s;
+      scratch.run(c, s);
+      scratch.copy_distances(dist_c);
+      ASSERT_EQ(dist_c, graph::bfs(g, s).dist) << family << " source " << s;
     }
   }
 }
@@ -86,12 +87,11 @@ TEST(Csr, BfsByteIdenticalToAdjacencyList) {
 TEST(Csr, BfsHandlesDisconnectedComponents) {
   const Graph g = Graph::from_edges(6, {{0, 1}, {2, 3}});
   const Csr c = Csr::from_graph(g);
-  std::vector<std::uint32_t> dist;
-  std::vector<Vertex> frontier;
-  graph::bfs_into(c, 0, dist, frontier);
-  EXPECT_EQ(dist[1], 1u);
-  EXPECT_EQ(dist[2], graph::kInfDist);
-  EXPECT_EQ(dist[5], graph::kInfDist);
+  graph::BfsScratch scratch;
+  scratch.run(c, 0);
+  EXPECT_EQ(scratch.distance(1), 1u);
+  EXPECT_EQ(scratch.distance(2), graph::kInfDist);
+  EXPECT_EQ(scratch.distance(5), graph::kInfDist);
 }
 
 TEST(Csr, CopiesShareStorageAndKeepAliveHoldsViews) {

@@ -1,9 +1,10 @@
 // Tests for the nas_served network layer (src/net): protocol parsing and
 // framing units, then loopback integration against a real Server on an
-// ephemeral port — answer bytes identical to a direct cluster.serve across
-// shard counts, a malformed-request corpus with the documented keep-open /
-// close split, graceful shutdown with a batch in flight, idle timeouts, and
-// the max-conns turn-away.  The server runs in a std::thread and the
+// ephemeral port — answer bytes identical to a direct oracle batch_query
+// across serve-thread counts, STATS counters equal to a direct batch_query's,
+// a malformed-request corpus with the documented keep-open / close split,
+// graceful shutdown with a batch in flight, idle timeouts, and the
+// max-conns turn-away.  The server runs in a std::thread and the
 // BatchBridge worker makes a third; the TSan CI job runs this binary to
 // check that handoff.
 #include <gtest/gtest.h>
@@ -15,13 +16,13 @@
 #include <thread>
 #include <vector>
 
+#include "apps/distance_oracle.hpp"
 #include "apps/query_workload.hpp"
 #include "core/elkin_matar.hpp"
 #include "graph/generators.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
-#include "serve/cluster.hpp"
 
 namespace {
 
@@ -32,7 +33,6 @@ using net::ParseOutcome;
 using net::Request;
 using net::Server;
 using net::ServerOptions;
-using serve::ShardedCluster;
 
 // --- protocol units ----------------------------------------------------------
 
@@ -153,19 +153,14 @@ const Built& built() {
 /// destructor double-stops (graceful, then immediate) so a failing test
 /// never wedges the suite.
 struct TestServer {
-  ShardedCluster cluster;
+  apps::SpannerDistanceOracle oracle;
   Server server;
   std::thread thread;
 
-  explicit TestServer(ServerOptions options = {}, unsigned shards = 2,
-                      unsigned replicas = 1,
-                      const std::string& route = "round-robin")
-      : cluster(built().spanner, built().mult, built().add,
-                {.shards = shards,
-                 .partition = "hash",
-                 .replicas = replicas,
-                 .route = route}),
-        server(cluster, options),
+  explicit TestServer(ServerOptions options = {},
+                      apps::OracleOptions oracle_options = {})
+      : oracle(built().spanner, built().mult, built().add, oracle_options),
+        server(oracle, options),
         thread([this] { server.run(); }) {}
 
   ~TestServer() {
@@ -179,19 +174,35 @@ struct TestServer {
   }
 };
 
-/// The reference bytes: a fresh cluster with the same spec served directly,
-/// rendered through the same write_answers the CLIs use.
-std::vector<std::string> expected_lines(const std::vector<apps::Query>& batch,
-                                        unsigned shards) {
-  ShardedCluster cluster(built().spanner, built().mult, built().add,
-                         {.shards = shards, .partition = "hash"});
-  const auto answers = cluster.serve(batch, 1);
+/// The reference bytes: a fresh oracle over the same spanner answering
+/// directly, rendered through the same write_answers the CLIs use.
+std::vector<std::string> expected_lines(const std::vector<apps::Query>& batch) {
+  const apps::SpannerDistanceOracle oracle(built().spanner, built().mult,
+                                           built().add);
+  const auto answers = oracle.batch_query(batch, 1);
   std::ostringstream out;
   apps::write_answers(batch, answers, out);
   std::vector<std::string> lines;
   std::istringstream in(out.str());
   for (std::string line; std::getline(in, line);) lines.push_back(line);
   return lines;
+}
+
+std::string batch_request(const std::vector<apps::Query>& batch) {
+  std::string request = "BATCH " + std::to_string(batch.size()) + "\n";
+  for (const auto& q : batch) {
+    request += std::to_string(q.u) + " " + std::to_string(q.v) + "\n";
+  }
+  return request;
+}
+
+/// Pulls one unsigned field out of a flat JSON reply line.
+std::uint64_t json_u64(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const auto at = json.find(needle);
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + needle.size()));
 }
 
 // --- integration -------------------------------------------------------------
@@ -201,7 +212,7 @@ TEST(NetServer, SingleQueriesMatchDirectServe) {
   auto client = ts.connect();
   const auto batch =
       apps::make_query_workload(built().n, {"uniform", 40, 21, 0.99});
-  const auto expected = expected_lines(batch, 2);
+  const auto expected = expected_lines(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     client.send("Q " + std::to_string(batch[i].u) + " " +
                 std::to_string(batch[i].v) + "\n");
@@ -211,21 +222,50 @@ TEST(NetServer, SingleQueriesMatchDirectServe) {
   }
 }
 
-TEST(NetServer, BatchAnswersAreByteIdenticalAcrossShardCounts) {
+TEST(NetServer, BatchAnswersAreByteIdenticalAcrossServeThreads) {
   const auto batch =
       apps::make_query_workload(built().n, {"zipf", 300, 11, 0.99});
-  const auto expected = expected_lines(batch, 1);
-  for (const unsigned shards : {1u, 2u, 8u}) {
-    TestServer ts({}, shards);
+  const auto expected = expected_lines(batch);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    ServerOptions options;
+    options.serve_threads = threads;
+    TestServer ts(options);
     auto client = ts.connect();
-    std::string request = "BATCH " + std::to_string(batch.size()) + "\n";
-    for (const auto& q : batch) {
-      request += std::to_string(q.u) + " " + std::to_string(q.v) + "\n";
-    }
-    client.send(request);
+    client.send(batch_request(batch));
     EXPECT_EQ(client.recv_lines(batch.size()), expected)
-        << "shards=" << shards;
+        << "serve_threads=" << threads;
   }
+}
+
+TEST(NetServer, StatsCountersMatchDirectBatchQuery) {
+  // A small cache budget makes the batch evict, so every counter moves.
+  const apps::OracleOptions oracle_options{
+      .cache_budget_bytes = 8ull * sizeof(std::uint32_t) * built().n};
+  const auto batch =
+      apps::make_query_workload(built().n, {"zipf", 300, 23, 0.99});
+  TestServer ts({}, oracle_options);
+  auto client = ts.connect();
+  client.send(batch_request(batch) + "STATS\n");
+  ASSERT_EQ(client.recv_lines(batch.size()).size(), batch.size());
+  const auto stats = client.recv_line();
+  ASSERT_TRUE(stats.has_value());
+
+  // The reference: a fresh oracle loaded from a snapshot of the same
+  // spanner, at the same budget, answering the same batch directly.
+  std::stringstream snapshot;
+  apps::SpannerDistanceOracle(built().spanner, built().mult, built().add)
+      .save(snapshot);
+  const auto fresh =
+      apps::SpannerDistanceOracle::load(snapshot, oracle_options);
+  apps::BatchStats direct;
+  (void)fresh.batch_query(batch, 1, &direct);
+  ASSERT_GT(direct.evictions, 0u);
+  EXPECT_EQ(json_u64(*stats, "queries"), direct.queries);
+  EXPECT_EQ(json_u64(*stats, "distinct_sources"), direct.distinct_sources);
+  EXPECT_EQ(json_u64(*stats, "cache_hits"), direct.cache_hits);
+  EXPECT_EQ(json_u64(*stats, "bfs_passes"), direct.bfs_passes);
+  EXPECT_EQ(json_u64(*stats, "evictions"), direct.evictions);
+  EXPECT_EQ(json_u64(*stats, "cache_capacity"), fresh.cache_capacity());
 }
 
 TEST(NetServer, PipelinedCommandsAnswerInOrder) {
@@ -233,7 +273,7 @@ TEST(NetServer, PipelinedCommandsAnswerInOrder) {
   auto client = ts.connect();
   const auto batch =
       apps::make_query_workload(built().n, {"uniform", 6, 5, 0.99});
-  const auto expected = expected_lines(batch, 2);
+  const auto expected = expected_lines(batch);
   // Everything in one write: three Q lines, a BATCH, then QUIT.  The server
   // must answer strictly in command order and close after BYE.
   std::string request;
@@ -262,14 +302,15 @@ TEST(NetServer, StatsIsOneJsonObjectLine) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->front(), '{');
   EXPECT_EQ(stats->back(), '}');
-  for (const char* field : {"\"shards\"", "\"universe\"", "\"requests\"",
-                            "\"connections_open\"", "\"served_requests\""}) {
+  for (const char* field :
+       {"\"universe\"", "\"spanner_edges\"", "\"queries\"",
+        "\"bfs_passes\"", "\"connections_open\"", "\"served_requests\""}) {
     EXPECT_NE(stats->find(field), std::string::npos) << field;
   }
 }
 
 TEST(NetServer, MetricsIsOneJsonObjectLine) {
-  TestServer ts({}, 2, 2, "deterministic");
+  TestServer ts;
   auto client = ts.connect();
   client.send("Q 0 1\nMETRICS\n");
   ASSERT_TRUE(client.recv_line().has_value());
@@ -278,26 +319,26 @@ TEST(NetServer, MetricsIsOneJsonObjectLine) {
   EXPECT_EQ(metrics->front(), '{');
   EXPECT_EQ(metrics->back(), '}');
   for (const char* field :
-       {"\"serve_calls\"", "\"batch_requests_le\"", "\"replica_depth_count\"",
-        "\"lifetime_replica_requests\"", "\"metrics_digest\"",
-        "\"serve_latency_ms_le\""}) {
+       {"\"serve_calls\"", "\"batch_requests_le\"", "\"metrics_digest\"",
+        "\"serve_latency_us_le\""}) {
     EXPECT_NE(metrics->find(field), std::string::npos) << field;
   }
+  EXPECT_EQ(json_u64(*metrics, "serve_calls"), 1u);
+  EXPECT_EQ(json_u64(*metrics, "serve_latency_us_total"), 1u);
 }
 
 TEST(NetServer, SnapshotsUnderLoadAreRaceFree) {
   // Regression for the STATS-under-load race: snapshots used to read the
-  // loop thread's view of cluster counters while the bridge worker was
+  // loop thread's view of serving counters while the bridge worker was
   // serving a batch into them.  Both now flow through the bridge FIFO, so a
   // client hammering STATS/METRICS while another streams batches must stay
   // clean — the TSan CI lane runs this test to prove it.
   const auto batch =
       apps::make_query_workload(built().n, {"zipf", 64, 17, 0.99});
-  std::string request = "BATCH " + std::to_string(batch.size()) + "\n";
-  for (const auto& q : batch) {
-    request += std::to_string(q.u) + " " + std::to_string(q.v) + "\n";
-  }
-  TestServer ts({}, 2, 2, "round-robin");
+  const std::string request = batch_request(batch);
+  ServerOptions options;
+  options.serve_threads = 2;  // the worker fans each batch out to a pool
+  TestServer ts(options);
   std::thread streamer([&] {
     auto client = ts.connect();
     for (int pass = 0; pass < 20; ++pass) {
@@ -394,14 +435,10 @@ TEST(NetServer, TruncatedBatchIsDiagnosedOnEof) {
 TEST(NetServer, GracefulShutdownDeliversInFlightBatch) {
   const auto batch =
       apps::make_query_workload(built().n, {"zipf", 400, 31, 0.99});
-  const auto expected = expected_lines(batch, 2);
+  const auto expected = expected_lines(batch);
   TestServer ts;
   auto client = ts.connect();
-  std::string request = "BATCH " + std::to_string(batch.size()) + "\n";
-  for (const auto& q : batch) {
-    request += std::to_string(q.u) + " " + std::to_string(q.v) + "\n";
-  }
-  client.send(request);
+  client.send(batch_request(batch));
   // A send() that returned only means the bytes left the client; stop now
   // and the server may close before ever reading them.  Poll STATS on a
   // probe connection until the server has accepted the batch — from then on

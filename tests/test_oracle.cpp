@@ -81,6 +81,40 @@ TEST(OracleBatch, SecondBatchServedFromCache) {
   EXPECT_EQ(oracle.bfs_passes(), first.bfs_passes);
 }
 
+TEST(OracleBatch, StatsFoldIntoLifetimeTotalsAndRender) {
+  const Graph g = graph::make_workload("er", 200, 5);
+  const SpannerDistanceOracle oracle(build_result(g));
+  apps::BatchStats first, second;
+  (void)oracle.batch_query(
+      apps::make_query_workload(g.num_vertices(), {"zipf", 150, 3, 0.99}), 4,
+      &first);
+  (void)oracle.batch_query(
+      apps::make_query_workload(g.num_vertices(), {"uniform", 40, 9, 0.0}), 1,
+      &second);
+  apps::BatchStats lifetime;
+  lifetime += first;
+  lifetime += second;
+  EXPECT_EQ(lifetime.queries, 190u);
+  EXPECT_EQ(lifetime.distinct_sources,
+            first.distinct_sources + second.distinct_sources);
+  EXPECT_EQ(lifetime.cache_hits, first.cache_hits + second.cache_hits);
+  EXPECT_EQ(lifetime.bfs_passes, oracle.bfs_passes());
+  EXPECT_EQ(lifetime.evictions, oracle.evictions());
+  EXPECT_EQ(lifetime.shards, std::max(first.shards, second.shards));
+
+  // The shared stats schema: structure first, then the counters, in order.
+  const auto fields = apps::oracle_stats_fields(oracle, lifetime);
+  std::vector<std::string> keys;
+  for (const auto& field : fields) keys.push_back(field.first);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "universe", "spanner_edges", "guarantee_mult",
+                      "guarantee_add", "cache_capacity", "queries",
+                      "distinct_sources", "cache_hits", "bfs_passes",
+                      "evictions"}));
+  EXPECT_EQ(fields[0].second.text, "200");
+  EXPECT_EQ(fields[8].second.text, std::to_string(oracle.bfs_passes()));
+}
+
 TEST(OracleBatch, MatchesSingleQueriesAndHandlesEdgeCases) {
   const Graph g = graph::make_workload("grid", 144, 1);
   const SpannerDistanceOracle oracle(build_result(g));

@@ -165,6 +165,24 @@ TEST(ScenarioMatrix, FromFileParsesKeysCommentsAndReportsLines) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(":2"), std::string::npos);
   }
+  // The retired serving-cluster axes are plain unknown keys: an old scenario
+  // file naming one fails loudly instead of silently serving differently.
+  for (const char* retired : {"cluster-shards", "partition", "replicas",
+                              "route"}) {
+    {
+      std::ofstream out(path);
+      out << "family = er\n" << retired << " = 2\n";
+    }
+    try {
+      (void)run::ScenarioMatrix::from_file(path);
+      FAIL() << "expected runtime_error for " << retired;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(":2: unknown scenario key \"" +
+                                           std::string(retired) + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW((void)run::ScenarioMatrix::from_file("/nonexistent/zzz"),
                std::runtime_error);
   std::remove(path.c_str());

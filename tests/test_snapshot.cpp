@@ -1,8 +1,8 @@
 // Tests for the NAS-ORACLE v2 binary snapshot: round-trips against the v1
-// text golden baseline, format auto-detection, zero-copy cluster warmup
-// (every shard viewing one mapping), the offset-numbered corruption corpus
-// (the binary mirror of v1's 17-case line-numbered corpus), and the scenario
-// runner's snapshot-format axis digest-independence.
+// text golden baseline, format auto-detection, the offset-numbered
+// corruption corpus (the binary mirror of v1's 17-case line-numbered
+// corpus), and the scenario runner's snapshot-format axis
+// digest-independence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "graph/generators.hpp"
 #include "run/runner.hpp"
 #include "run/scenario.hpp"
-#include "serve/cluster.hpp"
 
 namespace {
 
@@ -169,45 +168,6 @@ TEST(SnapshotV2, BaselineWithoutParamsAndEdgelessGraphRoundTrip) {
   EXPECT_EQ(back.query(0, 4), graph::kInfDist);
 }
 
-// --- zero-copy cluster warmup ------------------------------------------------
-
-TEST(SnapshotV2, ClusterWarmupSharesOneMappingAcrossShards) {
-  const Graph g = graph::make_workload("er", 300, 5);
-  auto result = build_result(g);
-  const double mult = result.params.stretch_multiplicative();
-  const double add = result.params.stretch_additive();
-  const SpannerDistanceOracle original(std::move(result));
-  const std::string path = temp_path("cluster.naso2");
-  original.save_file(path, SnapshotFormat::kV2);
-
-  const auto cluster = serve::ShardedCluster::from_snapshot_files(
-      {path}, {.shards = 4, .partition = "hash"});
-  ASSERT_EQ(cluster.num_shards(), 4u);
-  EXPECT_EQ(cluster.multiplicative(), mult);
-  EXPECT_EQ(cluster.additive(), add);
-  for (unsigned s = 1; s < cluster.num_shards(); ++s) {
-    EXPECT_TRUE(
-        cluster.shard(s).csr().shares_storage_with(cluster.shard(0).csr()))
-        << "shard " << s << " replicated the structure instead of sharing it";
-  }
-
-  auto mutable_cluster = serve::ShardedCluster::from_snapshot_files(
-      {path}, {.shards = 4, .partition = "hash"});
-  const auto queries =
-      apps::make_query_workload(g.num_vertices(), {"zipf", 500, 17, 0.99});
-  EXPECT_EQ(mutable_cluster.serve(queries, 2),
-            original.batch_query(queries, 1));
-}
-
-TEST(SnapshotV2, DirectlyBuiltClusterSharesStorageToo) {
-  const Graph g = graph::make_workload("er", 200, 9);
-  const serve::ShardedCluster cluster(g, 3.0, 4.0, {.shards = 3});
-  for (unsigned s = 1; s < cluster.num_shards(); ++s) {
-    EXPECT_TRUE(
-        cluster.shard(s).csr().shares_storage_with(cluster.shard(0).csr()));
-  }
-}
-
 // --- corruption corpus -------------------------------------------------------
 
 // Crafted over a 4-vertex path (edges 0-1, 1-2, 2-3): header 96 bytes,
@@ -337,7 +297,7 @@ TEST(SnapshotAxis, MatrixExpandsInnermostAndIdsNameTheFormat) {
   run::ScenarioMatrix m;
   m.ns = {256};
   m.workloads = {"uniform"};
-  m.cluster_shards = {0, 2};
+  m.query_threads = {1, 2};
   m.snapshot_formats = {"none", "v1", "v2"};
   ASSERT_EQ(m.size(), 6u);
   const auto specs = m.expand();
@@ -345,8 +305,8 @@ TEST(SnapshotAxis, MatrixExpandsInnermostAndIdsNameTheFormat) {
   EXPECT_EQ(specs[0].snapshot_format, "none");
   EXPECT_EQ(specs[1].snapshot_format, "v1");
   EXPECT_EQ(specs[2].snapshot_format, "v2");
-  EXPECT_EQ(specs[2].cluster_shards, 0u);
-  EXPECT_EQ(specs[3].cluster_shards, 2u);
+  EXPECT_EQ(specs[2].query_threads, 1u);
+  EXPECT_EQ(specs[3].query_threads, 2u);
   EXPECT_EQ(specs[0].id().find("/sf="), std::string::npos);
   EXPECT_NE(specs[1].id().find("/sf=v1"), std::string::npos);
   EXPECT_NE(specs[5].id().find("/sf=v2"), std::string::npos);
@@ -358,7 +318,7 @@ TEST(SnapshotAxis, RunnerAnswersAreFormatIndependent) {
   m.ns = {200};
   m.workloads = {"uniform"};
   m.queries = 300;
-  m.cluster_shards = {0, 2};
+  m.query_threads = {1, 2};
   m.snapshot_formats = {"none", "v1", "v2"};
 
   run::Runner runner;
@@ -374,7 +334,7 @@ TEST(SnapshotAxis, RunnerAnswersAreFormatIndependent) {
     }
   }
   // The binary image stores the same structure in fixed-width fields; both
-  // formats must agree per (shards) point on what they serialized.
+  // formats must agree per (threads) point on what they serialized.
   EXPECT_EQ(rows[1].spanner_edges, rows[2].spanner_edges);
 }
 

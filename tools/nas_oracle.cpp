@@ -11,7 +11,7 @@
 //   # migrate a v1 text snapshot to the v2 binary (mmap-able) format
 //   ./nas_oracle --load oracle.naso --convert oracle.naso2 --snapshot-format v2
 //
-//   # serve a zipfian heavy-traffic batch from the snapshot, 8 shards
+//   # serve a zipfian heavy-traffic batch from the snapshot on 8 threads
 //   ./nas_oracle --load oracle.naso --workload zipf --queries 20000
 //                --query-threads 8 --cache-budget 16777216 --answers out.txt
 //
@@ -195,26 +195,15 @@ int main(int argc, char** argv) {
     }
 
     if (!stats_path.empty()) {
-      const util::JsonObject fields{
-          {"spanner_edges",
-           util::JsonValue::number(
-               static_cast<std::uint64_t>(oracle.spanner_edges()))},
-          {"guarantee_mult",
-           util::JsonValue::literal(run::format_real(oracle.multiplicative()))},
-          {"guarantee_add",
-           util::JsonValue::literal(run::format_real(oracle.additive()))},
-          {"cache_capacity", util::JsonValue::number(oracle.cache_capacity())},
-          {"queries", util::JsonValue::number(stats.queries)},
-          {"distinct_sources", util::JsonValue::number(stats.distinct_sources)},
-          {"cache_hits", util::JsonValue::number(stats.cache_hits)},
-          {"bfs_passes", util::JsonValue::number(stats.bfs_passes)},
-          {"evictions", util::JsonValue::number(stats.evictions)},
-          {"digest", util::JsonValue::hex64(apps::digest_answers(answers))},
-          {"build_ms",
-           util::JsonValue::literal(run::format_real(build_ms, 4))},
-          {"serve_ms",
-           util::JsonValue::literal(run::format_real(serve_ms, 4))},
-      };
+      // Shared schema (apps::oracle_stats_fields — the same core the
+      // nas_served STATS reply uses) plus this run's one-shot extras.
+      util::JsonObject fields = apps::oracle_stats_fields(oracle, stats);
+      fields.emplace_back(
+          "digest", util::JsonValue::hex64(apps::digest_answers(answers)));
+      fields.emplace_back(
+          "build_ms", util::JsonValue::literal(run::format_real(build_ms, 4)));
+      fields.emplace_back(
+          "serve_ms", util::JsonValue::literal(run::format_real(serve_ms, 4)));
       std::ofstream out(stats_path);
       if (!out) throw std::runtime_error("cannot open stats file " + stats_path);
       out << util::render_json_object(fields) << "\n";

@@ -1,20 +1,20 @@
-// nas_served — long-running socket daemon serving the sharded cluster.
+// nas_served — long-running socket daemon serving one distance oracle.
 //
-// Where nas_serve answers one batch and exits, nas_served binds a TCP port
+// Where nas_oracle answers one batch and exits, nas_served binds a TCP port
 // and answers the src/net line protocol until stopped:
 //
 //   Q <u> <v>   ->  "<u> <v> <d>"        (one line, nas_oracle byte format)
 //   BATCH <n>   +   n "<u> <v>" lines -> n answer lines in request order
-//   STATS       ->  one cluster+server stats JSON line
-//   METRICS     ->  one metrics JSON line (histograms, replica counters)
+//   STATS       ->  one oracle+server stats JSON line
+//   METRICS     ->  one metrics JSON line (batch-size/latency histograms)
 //   QUIT        ->  "BYE", then the connection closes
 //
 //   # build from a generated graph and serve on an ephemeral port
-//   ./nas_served --family er --n 2000 --eps 0.25 --shards 8 --port 0
+//   ./nas_served --family er --n 2000 --eps 0.25 --port 0
 //                --port-file port.txt
 //
-//   # warm from a snapshot, fixed port, 30s idle timeout
-//   ./nas_served --load oracle.naso --shards 4 --port 7979
+//   # warm from a snapshot, 8 BFS threads per batch, fixed port, 30s idle
+//   ./nas_served --load oracle.naso --threads 8 --port 7979
 //                --idle-timeout-ms 30000
 //
 // The daemon prints "listening on <host>:<port>" to stderr once ready (and
@@ -23,24 +23,23 @@
 // in-flight batches finish and flush (bounded by --drain-timeout-ms), then
 // the process exits 0.  A second signal exits immediately.
 //
-// Answer lines are byte-identical to nas_oracle/nas_serve for the same
-// requests at every --shards/--partition/--replicas/--route/--threads/
-// --bfs-kernel value — CI's serving gate replays a workload through
-// bench/serve_latency and cmp's the transcript against the nas_oracle
-// answers file, at several replica counts and routing policies.
+// Answer lines are byte-identical to nas_oracle for the same requests at
+// every --threads/--bfs-kernel/--cache-budget value (--threads is
+// nas_oracle's --query-threads) — CI's serving gate replays a workload
+// through bench/serve_latency and cmp's the transcript against the
+// nas_oracle answers file.
 #include <atomic>
 #include <csignal>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "apps/distance_oracle.hpp"
 #include "apps/snapshot.hpp"
 #include "core/params.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "net/server.hpp"
-#include "run/scenario.hpp"
-#include "serve/cluster.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
 
@@ -72,12 +71,10 @@ int main(int argc, char** argv) {
   try {
     util::Flags flags(argc, argv);
 
-    // Cluster source: snapshot path(s), or a graph + schedule to build from
-    // (same flags as nas_serve).
-    const std::string load_spec = flags.str(
-        "load", "",
-        "warm shards from snapshot path(s): one path replicates, a comma "
-        "list is one snapshot per shard");
+    // Oracle source: a snapshot, or a graph + schedule to build from (same
+    // flags as nas_oracle).
+    const std::string load_path =
+        flags.str("load", "", "load a serving snapshot instead of building");
     const std::string family = flags.str(
         "family", "er", "graph family (or file:<path> for an edge list)");
     const auto n = static_cast<graph::Vertex>(
@@ -101,37 +98,19 @@ int main(int argc, char** argv) {
       }
       return parsed;
     };
-    const auto shards = static_cast<unsigned>(
-        non_negative("shards", 1, "serving shards (>= 1)"));
-    if (shards == 0 && !flags.help_requested()) {
-      throw std::invalid_argument("flag --shards must be >= 1, got 0");
-    }
-    const std::string partition =
-        flags.str("partition", "hash", "vertex partitioner: hash|range");
-    const auto replicas = static_cast<unsigned>(
-        non_negative("replicas", 1, "replicas per shard (>= 1)"));
-    if (replicas == 0 && !flags.help_requested()) {
-      throw std::invalid_argument("flag --replicas must be >= 1, got 0");
-    }
-    const std::string route = flags.str(
-        "route", "round-robin",
-        "replica routing policy: round-robin|least-loaded|deterministic "
-        "(answers are byte-identical for every choice)");
-    const auto replica_queue_depth = static_cast<std::uint64_t>(non_negative(
-        "replica-queue-depth", 0,
-        "per-replica admission cap before shedding to the group, 0 = off"));
     const std::string snapshot_format_guard = flags.str(
         "snapshot-format", "auto",
-        "require --load snapshots to be this format: auto|v1|v2 (auto "
-        "accepts either; a mismatch is an error before any load runs)");
+        "require the --load snapshot to be this format: auto|v1|v2 (auto "
+        "accepts either; a mismatch is an error before the load runs)");
     const auto cache_budget = static_cast<std::uint64_t>(non_negative(
-        "cache-budget", 64 << 20, "per-shard cache budget in bytes, 0 = off"));
+        "cache-budget", 64 << 20, "source-cache budget in bytes, 0 = off"));
     const auto threads = static_cast<unsigned>(non_negative(
-        "threads", 1, "shard-execution pool slots per batch, 0 = all cores"));
+        "threads", 1,
+        "BFS threads per batch (nas_oracle's --query-threads), 0 = all cores"));
     const std::string bfs_kernel_name = flags.str(
         "bfs-kernel", "auto",
-        "BFS traversal kernel for every shard: topdown|hybrid|auto (answers "
-        "are byte-identical for every choice)");
+        "BFS traversal kernel: topdown|hybrid|auto (answers are "
+        "byte-identical for every choice)");
 
     // Daemon flags.
     const std::string listen =
@@ -154,11 +133,10 @@ int main(int argc, char** argv) {
         "graceful-shutdown bound for flushing in-flight batches"));
     const std::string stats_path = flags.str(
         "stats-json", "",
-        "write final cluster + server stats JSON here on clean shutdown");
+        "write final oracle + server stats JSON here on clean shutdown");
 
     if (flags.handle_help(
-            "nas_served — serve the sharded distance-oracle cluster over a "
-            "TCP line protocol")) {
+            "nas_served — serve a distance oracle over a TCP line protocol")) {
       return 0;
     }
     flags.reject_unknown();
@@ -168,31 +146,24 @@ int main(int argc, char** argv) {
           "flag --snapshot-format must be auto|v1|v2, got \"" +
           snapshot_format_guard + "\"");
     }
-    if (snapshot_format_guard != "auto" && !load_spec.empty()) {
+    if (snapshot_format_guard != "auto" && !load_path.empty()) {
       const auto want = apps::parse_snapshot_format(snapshot_format_guard);
-      for (const auto& path : run::split_list(load_spec)) {
-        const auto have = apps::detect_snapshot_format(path);
-        if (have != want) {
-          throw std::runtime_error(
-              std::string("snapshot ") + path + " is " +
-              apps::snapshot_format_name(have) + " but --snapshot-format " +
-              snapshot_format_guard + " was requested");
-        }
+      const auto have = apps::detect_snapshot_format(load_path);
+      if (have != want) {
+        throw std::runtime_error(
+            std::string("snapshot ") + load_path + " is " +
+            apps::snapshot_format_name(have) + " but --snapshot-format " +
+            snapshot_format_guard + " was requested");
       }
     }
 
-    const serve::ClusterOptions cluster_options{
-        .shards = shards,
-        .partition = partition,
-        .replicas = replicas,
-        .route = route,
-        .replica_queue_depth = replica_queue_depth,
-        .shard_cache_budget_bytes = cache_budget,
+    const apps::OracleOptions oracle_options{
+        .cache_budget_bytes = cache_budget,
         .bfs_kernel = graph::parse_bfs_kernel(bfs_kernel_name)};
-    serve::ShardedCluster cluster = [&] {
-      if (!load_spec.empty()) {
-        return serve::ShardedCluster::from_snapshot_files(
-            run::split_list(load_spec), cluster_options);
+    apps::SpannerDistanceOracle oracle = [&] {
+      if (!load_path.empty()) {
+        return apps::SpannerDistanceOracle::load_file(load_path,
+                                                      oracle_options);
       }
       const graph::Graph g = family.rfind("file:", 0) == 0
                                  ? graph::read_edge_list_file(family.substr(5))
@@ -201,16 +172,12 @@ int main(int argc, char** argv) {
           mode == "paper"
               ? core::Params::paper(g.num_vertices(), eps, kappa, rho)
               : core::Params::practical(g.num_vertices(), eps, kappa, rho);
-      const auto result = core::build_spanner(g, params, {.validate = false});
-      return serve::ShardedCluster(result.spanner,
-                                   params.stretch_multiplicative(),
-                                   params.stretch_additive(), cluster_options);
+      return apps::SpannerDistanceOracle(g, params, oracle_options);
     }();
-    std::cerr << "cluster: " << cluster.num_shards() << " shards ("
-              << cluster.partitioner().name() << " partition), "
-              << cluster.num_replicas() << " replicas/shard ("
-              << serve::route_policy_name(cluster.route_policy())
-              << " routing), " << cluster.shard(0).summary() << " per shard\n";
+    std::cerr << "oracle: " << oracle.summary() << ", guarantee d_H <= "
+              << oracle.multiplicative() << "*d_G + " << oracle.additive()
+              << ", cache capacity " << oracle.cache_capacity()
+              << " sources\n";
 
     net::ServerOptions server_options;
     server_options.listen = listen;
@@ -222,7 +189,7 @@ int main(int argc, char** argv) {
     server_options.serve_threads = threads;
     server_options.drain_timeout_ms = drain_timeout_ms;
 
-    net::Server server(cluster, server_options);
+    net::Server server(oracle, server_options);
     g_server.store(&server, std::memory_order_release);
     install_stop_handlers();
 
@@ -248,23 +215,8 @@ int main(int argc, char** argv) {
 
     if (!stats_path.empty()) {
       util::JsonObject fields =
-          serve::cluster_stats_fields(cluster, totals.cluster);
-      fields.emplace_back("connections_accepted",
-                          util::JsonValue::number(totals.connections_accepted));
-      fields.emplace_back("connections_rejected",
-                          util::JsonValue::number(totals.connections_rejected));
-      fields.emplace_back("served_requests",
-                          util::JsonValue::number(totals.requests));
-      fields.emplace_back("served_batches",
-                          util::JsonValue::number(totals.batches));
-      fields.emplace_back("stats_requests",
-                          util::JsonValue::number(totals.stats_requests));
-      fields.emplace_back("metrics_requests",
-                          util::JsonValue::number(totals.metrics_requests));
-      fields.emplace_back("protocol_errors",
-                          util::JsonValue::number(totals.protocol_errors));
-      fields.emplace_back("idle_closed",
-                          util::JsonValue::number(totals.idle_closed));
+          apps::oracle_stats_fields(oracle, totals.oracle);
+      net::append_totals_fields(&fields, totals);
       std::ofstream out(stats_path);
       if (!out) {
         throw std::runtime_error("cannot open stats file " + stats_path);
