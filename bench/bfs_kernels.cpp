@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
         util::Timer timer;
         for (std::size_t i = 0; i < sources.size(); ++i) {
           graph::BfsKernelStats stats;
-          graph::bfs_kernel_into(csr, sources[i], dist, scratch, kernel,
-                                 &stats);
+          scratch.run(csr, sources[i], kernel, &stats);
+          scratch.copy_distances(dist);
           row.stats.edges_inspected += stats.edges_inspected;
           row.stats.top_down_levels += stats.top_down_levels;
           row.stats.bottom_up_levels += stats.bottom_up_levels;

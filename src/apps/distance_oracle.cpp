@@ -56,8 +56,7 @@ SpannerDistanceOracle::SpannerDistanceOracle(core::SpannerResult result,
       mult_(params_->stretch_multiplicative()),
       add_(params_->stretch_additive()),
       capacity_(resolve_capacity(options.cache_budget_bytes,
-                                 csr_.num_vertices())),
-      kernel_(options.bfs_kernel) {}
+                                 csr_.num_vertices())) {}
 
 SpannerDistanceOracle::SpannerDistanceOracle(graph::Graph spanner,
                                              double multiplicative,
@@ -77,8 +76,7 @@ SpannerDistanceOracle::SpannerDistanceOracle(graph::Csr spanner,
       mult_(multiplicative),
       add_(additive),
       capacity_(resolve_capacity(options.cache_budget_bytes,
-                                 csr_.num_vertices())),
-      kernel_(options.bfs_kernel) {}
+                                 csr_.num_vertices())) {}
 
 const graph::Graph& SpannerDistanceOracle::spanner() const {
   if (!materialized_) {
@@ -115,35 +113,8 @@ void SpannerDistanceOracle::cache_insert(Vertex s,
 }
 
 std::uint32_t SpannerDistanceOracle::query(Vertex u, Vertex v) const {
-  check_vertex(u);
-  check_vertex(v);
-  if (u == v) return 0;
-  // Prefer a cached side; otherwise BFS from the smaller endpoint so (u,v)
-  // and (v,u) share one pass.
-  Vertex s = std::min(u, v);
-  if (cache_.count(u) != 0) {
-    s = u;
-  } else if (cache_.count(v) != 0) {
-    s = v;
-  }
-  const Vertex t = s == u ? v : u;
-  ++clock_;
-  const auto it = cache_.find(s);
-  if (it != cache_.end()) {
-    it->second.last_used = clock_;
-    return it->second.dist[t];
-  }
-  scratch_.run(csr_, s, kernel_);
-  ++bfs_passes_;
-  const auto answer = scratch_.distance(t);
-  if (capacity_ > 0) {
-    // Materialize the row for the cache only when the budget can hold it —
-    // a cache-disabled oracle answers straight from the scratch.
-    std::vector<std::uint32_t> dist(csr_.num_vertices());
-    scratch_.copy_distances(dist);
-    cache_insert(s, std::move(dist));
-  }
-  return answer;
+  const Query request{u, v};
+  return batch_query(std::span<const Query>(&request, 1)).front();
 }
 
 std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
@@ -154,9 +125,9 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
   }
 
   // Plan (serial): pick one BFS source per request — a cached endpoint when
-  // available, else the smaller ID — and deduplicate the uncached sources in
-  // first-appearance order.  Cache state is deterministic, so the plan is
-  // a pure function of the query history.
+  // available, else the smaller ID so (u,v) and (v,u) share one pass — and
+  // deduplicate the uncached sources in first-appearance order.  Cache state
+  // is deterministic, so the plan is a pure function of the query history.
   std::vector<Vertex> source_of(queries.size(), graph::kInvalidVertex);
   std::vector<Vertex> missing;
   std::unordered_map<Vertex, std::size_t> missing_index;
@@ -183,16 +154,16 @@ std::vector<std::uint32_t> SpannerDistanceOracle::batch_query(
 
   // BFS the uncached sources, sharded across the pool.  Every worker writes
   // only its own sources' slots and owns one reused BfsScratch, so the
-  // filled distance vectors are identical at any thread count and any
-  // kernel (distances are level structure; direction cannot move them).
-  // The workers stream the shared CSR arrays read-only.
+  // filled distance vectors are identical at any thread count.  The workers
+  // stream the shared CSR arrays read-only.
   std::vector<std::vector<std::uint32_t>> fresh(missing.size());
   util::ThreadPool::run_sharded(
       missing.size(), threads, [&](std::size_t begin, std::size_t end) {
         graph::BfsScratch scratch;
         for (std::size_t i = begin; i < end; ++i) {
+          scratch.run(csr_, missing[i], graph::BfsKernel::kAuto);
           fresh[i].resize(csr_.num_vertices());
-          graph::bfs_kernel_into(csr_, missing[i], fresh[i], scratch, kernel_);
+          scratch.copy_distances(fresh[i]);
         }
       });
   bfs_passes_ += missing.size();

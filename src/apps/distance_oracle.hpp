@@ -20,8 +20,8 @@
 //     util::ThreadPool, each worker running the direction-optimizing
 //     graph::BfsScratch kernel on its own reused scratch.  Planning,
 //     answering, and cache maintenance are serial, so the answer vector
-//     (request order) is byte-identical at every thread count, every cache
-//     budget, and every --bfs-kernel choice.
+//     (request order) is byte-identical at every thread count and every
+//     cache budget.  `query(u, v)` is a one-request batch.
 //   * The per-source distance cache is *bounded*: OracleOptions fixes a
 //     memory budget, each cached source costs 4·n bytes, and eviction is
 //     deterministic LRU — least-recently-used batch first, ties broken by
@@ -52,7 +52,6 @@
 #include "apps/snapshot.hpp"
 #include "core/elkin_matar.hpp"
 #include "core/params.hpp"
-#include "graph/bfs_kernel.hpp"
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "util/json.hpp"
@@ -71,11 +70,6 @@ struct OracleOptions {
   /// caching entirely (every batch re-runs its BFS passes).  Answers never
   /// depend on the budget — only the BFS-pass count does.
   std::uint64_t cache_budget_bytes = 64ull << 20;
-  /// Traversal strategy for the BFS hot loop.  Distances are level
-  /// structure — independent of traversal direction — so answers are
-  /// byte-identical for every kernel; only the edges-inspected cost moves
-  /// (CI cmp-gates this across kernels rather than trusting the argument).
-  graph::BfsKernel bfs_kernel = graph::BfsKernel::kAuto;
 };
 
 /// Per-batch serving diagnostics.
@@ -120,7 +114,8 @@ class SpannerDistanceOracle {
                         double additive, OracleOptions options = {},
                         std::optional<core::Params> params = std::nullopt);
 
-  /// Approximate distance; graph::kInfDist if disconnected.
+  /// Approximate distance; graph::kInfDist if disconnected.  Equivalent to
+  /// batch_query on the one request {u, v}, cache effects included.
   [[nodiscard]] std::uint32_t query(graph::Vertex u, graph::Vertex v) const;
 
   /// Answers `queries` in request order.  The distinct uncached sources are
@@ -206,7 +201,6 @@ class SpannerDistanceOracle {
   double mult_ = 1.0;
   double add_ = 0.0;
   std::uint64_t capacity_ = 0;  ///< max cached sources (from the byte budget)
-  graph::BfsKernel kernel_ = graph::BfsKernel::kAuto;
 
   /// Keyed by source ID in a *sorted* map: the LRU victim scan iterates the
   /// whole cache, and ordered iteration keeps that scan — and therefore the
@@ -216,7 +210,6 @@ class SpannerDistanceOracle {
   mutable std::uint64_t clock_ = 0;
   mutable std::uint64_t bfs_passes_ = 0;
   mutable std::uint64_t evictions_ = 0;
-  mutable graph::BfsScratch scratch_;  ///< serial-path BFS scratch
   /// spanner() materialization (adjacency-list mirror of csr_).
   mutable std::shared_ptr<const graph::Graph> materialized_;
 };

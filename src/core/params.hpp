@@ -80,6 +80,14 @@ class Params {
   static Params practical(graph::Vertex n, double eps_internal, int kappa,
                           double rho, std::uint64_t n_estimate = 0);
 
+  /// The schedule a "practical" | "paper" mode name selects, as the CLIs and
+  /// scenario files spell it: paper() or practical() with `eps`.
+  static Params for_mode(const std::string& mode, graph::Vertex n, double eps,
+                         int kappa, double rho);
+
+  /// Throws std::invalid_argument unless `mode` is "practical" or "paper".
+  static void check_mode(const std::string& mode);
+
   // --- accessors -----------------------------------------------------------
   [[nodiscard]] graph::Vertex n() const { return n_; }
   [[nodiscard]] std::uint64_t n_estimate() const { return n_estimate_; }

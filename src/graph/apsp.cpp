@@ -28,9 +28,9 @@ Apsp::Apsp(const Graph& g, Vertex max_n, unsigned threads)
       n_, threads, [&](std::size_t begin, std::size_t end) {
         BfsScratch scratch;
         for (std::size_t s = begin; s < end; ++s) {
-          bfs_kernel_into(csr, static_cast<Vertex>(s),
-                          std::span<std::uint32_t>(dist_.data() + s * n_, n_),
-                          scratch, BfsKernel::kAuto);
+          scratch.run(csr, static_cast<Vertex>(s), BfsKernel::kAuto);
+          scratch.copy_distances(
+              std::span<std::uint32_t>(dist_.data() + s * n_, n_));
         }
       });
 }

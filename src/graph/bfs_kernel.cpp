@@ -33,16 +33,6 @@ inline bool test_bit(const std::vector<std::uint64_t>& bits, Vertex v) {
 
 }  // namespace
 
-BfsKernel parse_bfs_kernel(const std::string& name) {
-  if (name == "topdown") return BfsKernel::kTopDown;
-  if (name == "hybrid") return BfsKernel::kHybrid;
-  if (name == "auto") return BfsKernel::kAuto;
-  std::string msg = "unknown BFS kernel '";
-  msg += name;
-  msg += "' (expected topdown, hybrid, or auto)";
-  throw std::invalid_argument(msg);
-}
-
 const char* bfs_kernel_name(BfsKernel kernel) {
   switch (kernel) {
     case BfsKernel::kTopDown:
@@ -202,13 +192,6 @@ std::uint32_t BfsScratch::max_reached_distance() const {
   std::uint32_t ecc = 0;
   for (Vertex v : frontier_) ecc = std::max(ecc, dist_[v]);
   return ecc;
-}
-
-void bfs_kernel_into(const Csr& g, Vertex source, std::span<std::uint32_t> dist,
-                     BfsScratch& scratch, BfsKernel kernel,
-                     BfsKernelStats* stats) {
-  scratch.run(g, source, kernel, stats);
-  scratch.copy_distances(dist);
 }
 
 }  // namespace nas::graph

@@ -1,9 +1,9 @@
 // Direction-optimizing BFS kernel — the serving/verification hot loop.
 //
-// Every answer the system produces (oracle queries, cluster serving, stretch
-// verification, APSP rows) bottoms out in a single-source BFS over a
-// graph::Csr.  This layer replaces the plain top-down traversal with a
-// Beamer-style hybrid kernel that switches between two strategies per level:
+// Every answer the system produces (oracle queries, stretch verification,
+// APSP rows) bottoms out in a single-source BFS over a graph::Csr.  This
+// layer replaces the plain top-down traversal with a Beamer-style hybrid
+// kernel that switches between two strategies per level:
 //
 //   * top-down:  expand the frontier vertex list, inspecting every edge out
 //                of the frontier — cheap while the frontier is small;
@@ -23,8 +23,10 @@
 // Determinism: the kernel exposes *distances only*.  BFS level membership is
 // a property of the graph, not of the traversal order, so every kernel —
 // and every interleaving of levels — produces byte-identical distance
-// arrays.  CI enforces this with cmp gates over the serving binaries rather
-// than trusting the argument (see .github/workflows/ci.yml).
+// arrays.  tests/test_bfs_kernels.cpp and the identity gate in
+// bench/bfs_kernels enforce this rather than trusting the argument.  Serving
+// always runs kAuto; the two fixed kernels remain so the bench can compare
+// their edges-inspected counts against kAuto's per-graph choice.
 //
 // BfsScratch is the reusable per-worker state: the distance array is
 // validity-tagged with a per-run epoch, so starting a new BFS costs
@@ -35,7 +37,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -50,10 +51,7 @@ enum class BfsKernel {
   kAuto,     ///< hybrid on dense-enough graphs, top-down otherwise
 };
 
-/// Parses "topdown" | "hybrid" | "auto" (std::invalid_argument otherwise).
-[[nodiscard]] BfsKernel parse_bfs_kernel(const std::string& name);
-
-/// The canonical spelling parse_bfs_kernel accepts.
+/// "topdown" | "hybrid" | "auto", for bench rows and test messages.
 [[nodiscard]] const char* bfs_kernel_name(BfsKernel kernel);
 
 /// Per-run traversal counters.  `edges_inspected` is the kernel's work
@@ -112,13 +110,5 @@ class BfsScratch {
   std::vector<std::uint64_t> next_bits_;   // next-level bitmap (bottom-up)
   std::vector<Vertex> frontier_;      // reached vertices in discovery order
 };
-
-/// The direction-optimizing twin of graph::bfs_into: fills `dist` (size n)
-/// with d(source, ·), kInfDist where unreachable, byte-identical to the
-/// top-down result for every kernel.  `scratch` is reused across calls.
-void bfs_kernel_into(const Csr& g, Vertex source, std::span<std::uint32_t> dist,
-                     BfsScratch& scratch,
-                     BfsKernel kernel = BfsKernel::kAuto,
-                     BfsKernelStats* stats = nullptr);
 
 }  // namespace nas::graph

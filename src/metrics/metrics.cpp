@@ -34,16 +34,6 @@ void Histogram::record(std::uint64_t value) {
   sum_ += value;
 }
 
-Histogram& Histogram::operator+=(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    throw std::invalid_argument("Histogram: merging mismatched bounds");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-  sum_ += other.sum_;
-  return *this;
-}
-
 void Digest::add(std::uint64_t word) { value_ = util::mix64(value_ ^ word); }
 
 void Digest::add(const Histogram& histogram) {

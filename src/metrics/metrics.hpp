@@ -4,7 +4,6 @@
 // every metric a CI gate compares is a pure function of the request
 // history, never of wall-clock or thread scheduling.
 //
-//   * Counter       — a monotonic uint64 (cache hits, ...).
 //   * Histogram     — fixed upper-bound buckets over uint64 samples.  Fed
 //                     *work* values (batch sizes) the bucket counts are
 //                     byte-identical across runs and thread counts, so tests
@@ -28,21 +27,11 @@
 
 namespace nas::metrics {
 
-/// Monotonic event counter.
-class Counter {
- public:
-  void add(std::uint64_t delta = 1) { value_ += delta; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
 /// Fixed-bucket histogram over uint64 samples.  Bucket i counts samples
 /// <= bounds[i]; one implicit overflow bucket counts the rest, so
 /// counts().size() == bounds().size() + 1.  Bounds are fixed at
 /// construction (strictly ascending), which is what makes two histograms
-/// comparable and mergeable: operator+= requires identical bounds.
+/// comparable.
 class Histogram {
  public:
   /// A histogram with no finite buckets: every sample lands in overflow.
@@ -58,11 +47,6 @@ class Histogram {
   [[nodiscard]] static Histogram pow2(unsigned buckets);
 
   void record(std::uint64_t value);
-
-  /// Merges `other` into this histogram.  Bounds must match exactly
-  /// (std::invalid_argument otherwise) — a mismatch means two different
-  /// metric definitions were conflated, which must never pass silently.
-  Histogram& operator+=(const Histogram& other);
 
   [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] std::uint64_t sum() const { return sum_; }

@@ -5,6 +5,13 @@
 
 namespace nas::run {
 
+graph::Graph make_graph(const std::string& family, graph::Vertex n,
+                        std::uint64_t seed) {
+  return family.rfind("file:", 0) == 0
+             ? graph::read_edge_list_file(family.substr(5))
+             : graph::make_workload(family, n, seed);
+}
+
 std::string GraphCache::key(const std::string& family, graph::Vertex n,
                             std::uint64_t seed) {
   if (family.rfind("file:", 0) == 0) return family;
@@ -31,10 +38,8 @@ std::shared_ptr<const graph::Graph> GraphCache::get(const std::string& family,
   }
   std::call_once(entry->once, [&] {
     try {
-      auto g = family.rfind("file:", 0) == 0
-                   ? graph::read_edge_list_file(family.substr(5))
-                   : graph::make_workload(family, n, seed);
-      entry->graph = std::make_shared<const graph::Graph>(std::move(g));
+      entry->graph =
+          std::make_shared<const graph::Graph>(make_graph(family, n, seed));
     } catch (...) {
       entry->error = std::current_exception();
     }

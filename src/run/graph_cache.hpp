@@ -18,6 +18,12 @@
 
 namespace nas::run {
 
+/// Builds the graph a scenario `family` names: "file:<path>" reads that edge
+/// list (`n` and `seed` are then ignored), anything else is a
+/// graph::make_workload family.
+[[nodiscard]] graph::Graph make_graph(const std::string& family,
+                                      graph::Vertex n, std::uint64_t seed);
+
 class GraphCache {
  public:
   /// The cache key: "file:<path>" graphs are keyed by path alone (n/seed do

@@ -13,7 +13,6 @@
 #include "congest/substrate.hpp"
 #include "core/elkin_matar.hpp"
 #include "core/params.hpp"
-#include "graph/bfs_kernel.hpp"
 #include "util/temp_file.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -53,12 +52,8 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
     row.n = g->num_vertices();
     row.m = g->num_edges();
 
-    const auto params =
-        spec.mode == "paper"
-            ? core::Params::paper(g->num_vertices(), spec.eps, spec.kappa,
-                                  spec.rho)
-            : core::Params::practical(g->num_vertices(), spec.eps, spec.kappa,
-                                      spec.rho);
+    const auto params = core::Params::for_mode(spec.mode, g->num_vertices(),
+                                               spec.eps, spec.kappa, spec.rho);
 
     std::shared_ptr<const graph::Graph> spanner;
     util::Timer build_timer;
@@ -125,8 +120,7 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
           apps::make_query_workload(spanner->num_vertices(), workload_spec);
 
       const apps::OracleOptions oracle_options{
-          .cache_budget_bytes = spec.cache_budget,
-          .bfs_kernel = graph::parse_bfs_kernel(spec.bfs_kernel)};
+          .cache_budget_bytes = spec.cache_budget};
       std::optional<apps::SpannerDistanceOracle> oracle;
       std::optional<ScopedRemove> scratch;
       if (spec.snapshot_format == "none") {

@@ -4,7 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "graph/bfs_kernel.hpp"
+#include "core/params.hpp"
 
 namespace nas::run {
 
@@ -51,10 +51,6 @@ std::string ScenarioSpec::id() const {
       out += "/sf=";
       out += snapshot_format;
     }
-    if (bfs_kernel != "auto") {
-      out += "/bk=";
-      out += bfs_kernel;
-    }
   }
   return out;
 }
@@ -73,36 +69,34 @@ std::vector<ScenarioSpec> ScenarioMatrix::expand() const {
                   for (const auto& workload : workloads)
                     for (const auto cache_budget : cache_budgets)
                       for (const auto threads : query_threads)
-                        for (const auto& snapshot_format : snapshot_formats)
-                          for (const auto& bfs_kernel : bfs_kernels) {
-                            ScenarioSpec s;
-                            s.family = family;
-                            s.n = n;
-                            s.seed = seed;
-                            s.algo = algo;
-                            s.algo_seed = algo_seed;
-                            s.eps = eps;
-                            s.kappa = kappa;
-                            s.rho = rho;
-                            s.mode = mode;
-                            s.substrate = substrate;
-                            s.build_threads = build_threads;
-                            s.crosscheck = crosscheck;
-                            s.validate = validate;
-                            s.verify_mode = verify_mode;
-                            s.verify_sources = verify_sources;
-                            s.verify_threads = verify_threads;
-                            s.verify_seed = verify_seed;
-                            s.workload = workload;
-                            s.queries = queries;
-                            s.workload_seed = workload_seed;
-                            s.zipf_theta = zipf_theta;
-                            s.cache_budget = cache_budget;
-                            s.query_threads = threads;
-                            s.snapshot_format = snapshot_format;
-                            s.bfs_kernel = bfs_kernel;
-                            specs.push_back(std::move(s));
-                          }
+                        for (const auto& snapshot_format : snapshot_formats) {
+                          ScenarioSpec s;
+                          s.family = family;
+                          s.n = n;
+                          s.seed = seed;
+                          s.algo = algo;
+                          s.algo_seed = algo_seed;
+                          s.eps = eps;
+                          s.kappa = kappa;
+                          s.rho = rho;
+                          s.mode = mode;
+                          s.substrate = substrate;
+                          s.build_threads = build_threads;
+                          s.crosscheck = crosscheck;
+                          s.validate = validate;
+                          s.verify_mode = verify_mode;
+                          s.verify_sources = verify_sources;
+                          s.verify_threads = verify_threads;
+                          s.verify_seed = verify_seed;
+                          s.workload = workload;
+                          s.queries = queries;
+                          s.workload_seed = workload_seed;
+                          s.zipf_theta = zipf_theta;
+                          s.cache_budget = cache_budget;
+                          s.query_threads = threads;
+                          s.snapshot_format = snapshot_format;
+                          specs.push_back(std::move(s));
+                        }
   return specs;
 }
 
@@ -110,7 +104,7 @@ std::size_t ScenarioMatrix::size() const {
   return families.size() * ns.size() * seeds.size() * algos.size() *
          algo_seeds.size() * epss.size() * kappas.size() * rhos.size() *
          workloads.size() * cache_budgets.size() * query_threads.size() *
-         snapshot_formats.size() * bfs_kernels.size();
+         snapshot_formats.size();
 }
 
 std::vector<std::string> split_list(const std::string& text) {
@@ -184,17 +178,18 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
   } else if (key == "rho") {
     rhos = parse_list<double>(key, value, reals);
   } else if (key == "mode") {
+    core::Params::check_mode(value);
     mode = value;
   } else if (key == "substrate") {
     substrate = value;
   } else if (key == "build-threads") {
-    build_threads = static_cast<unsigned>(ints(key, value));
+    build_threads = static_cast<unsigned>(non_negative(key, value));
   } else if (key == "crosscheck") {
     crosscheck = util::Flags::parse_boolean(value);
   } else if (key == "validate") {
     validate = util::Flags::parse_boolean(value);
   } else if (key == "verify") {
-    verify_sources = static_cast<std::uint32_t>(ints(key, value));
+    verify_sources = static_cast<std::uint32_t>(non_negative(key, value));
     // Derive the mode, but never downgrade an explicitly requested "exact"
     // (e.g. a scenario file's `verify-mode = exact` refined by --verify N).
     if (verify_sources == 0) {
@@ -209,7 +204,7 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
     }
     verify_mode = value;
   } else if (key == "verify-threads") {
-    verify_threads = static_cast<unsigned>(ints(key, value));
+    verify_threads = static_cast<unsigned>(non_negative(key, value));
   } else if (key == "verify-seed") {
     verify_seed = static_cast<std::uint64_t>(ints(key, value));
   } else if (key == "workload") {
@@ -232,12 +227,6 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
             throw std::invalid_argument(
                 "snapshot-format must be none|v1|v2, got \"" + v + "\"");
           }
-          return v;
-        });
-  } else if (key == "bfs-kernel") {
-    bfs_kernels = parse_list<std::string>(
-        key, value, [](const std::string&, const std::string& v) {
-          (void)graph::parse_bfs_kernel(v);  // validates; throws on bad names
           return v;
         });
   } else if (key == "queries") {
@@ -281,8 +270,6 @@ void ScenarioMatrix::apply_flags(const util::Flags& flags) {
       {"query-threads", "1", "oracle batch shards, 0 = all cores (comma list)"},
       {"snapshot-format", "none",
        "serving snapshot round-trips: none|v1|v2 (comma list)"},
-      {"bfs-kernel", "auto",
-       "BFS traversal kernels: topdown|hybrid|auto (comma list)"},
       {"queries", "1000", "oracle requests per batch"},
       {"workload-seed", "1", "oracle request-generator seed"},
       {"zipf-theta", "0.99", "zipf workload skew exponent"},

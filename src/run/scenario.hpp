@@ -77,19 +77,12 @@ struct ScenarioSpec {
   // proving answers are format-independent.  Ignored when `workload` is off.
   std::string snapshot_format = "none";  ///< "none" | "v1" | "v2"
 
-  // BFS traversal strategy for the serving stage (graph::BfsKernel names:
-  // "topdown" | "hybrid" | "auto").  Answers are byte-identical across
-  // kernels — the axis exists so sweeps can compare BFS-pass cost and so CI
-  // can cmp-gate the identity claim.
-  std::string bfs_kernel = "auto";
-
   /// Compact deterministic identifier, e.g.
   /// "er/n=512/seed=1/em/eps=0.25/kappa=3/rho=0.4"; serving scenarios append
   /// "/w=<workload>/q=<queries>/cb=<cache_budget>/qt=<query_threads>" (and
-  /// snapshot round-trips "/sf=<snapshot_format>", non-default kernels
-  /// "/bk=<bfs_kernel>") so
-  /// every expansion axis is visible in the id (rows of a serving sweep stay
-  /// distinguishable in logs and grouped sink output).
+  /// snapshot round-trips "/sf=<snapshot_format>") so every expansion axis
+  /// is visible in the id (rows of a serving sweep stay distinguishable in
+  /// logs and grouped sink output).
   [[nodiscard]] std::string id() const;
 };
 
@@ -109,8 +102,6 @@ struct ScenarioMatrix {
   std::vector<unsigned> query_threads{1};
   // Snapshot round-trip axis: none|v1|v2 (see ScenarioSpec::snapshot_format).
   std::vector<std::string> snapshot_formats{"none"};
-  // BFS kernel axis: topdown|hybrid|auto (see ScenarioSpec::bfs_kernel).
-  std::vector<std::string> bfs_kernels{"auto"};
 
   // Scalar (non-matrix) settings copied into every spec.
   std::string mode = "practical";
@@ -128,7 +119,7 @@ struct ScenarioMatrix {
 
   /// The cross product in fixed nesting order — family outermost, then n,
   /// seed, algo, algo_seed, eps, kappa, rho, workload, cache_budget,
-  /// query_threads, snapshot_format, bfs_kernel innermost.  Deterministic:
+  /// query_threads, snapshot_format innermost.  Deterministic:
   /// the i-th spec depends only on the axis lists, never on execution.
   [[nodiscard]] std::vector<ScenarioSpec> expand() const;
 

@@ -1,5 +1,5 @@
 // Tests for the metrics primitives (src/metrics): histogram bucket-edge
-// semantics, merge rules, the pow2 factory, digest stability and
+// semantics, the pow2 factory, digest stability and
 // order-sensitivity, and the canonical JSON rendering.  Everything here is
 // deterministic by construction — no wall-clock assertions.
 #include <gtest/gtest.h>
@@ -15,17 +15,8 @@
 namespace {
 
 using namespace nas;
-using metrics::Counter;
 using metrics::Digest;
 using metrics::Histogram;
-
-TEST(Counter, AccumulatesMonotonically) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-}
 
 TEST(Histogram, DefaultIsOverflowOnly) {
   Histogram h;
@@ -67,21 +58,6 @@ TEST(Histogram, Pow2FactoryShape) {
   // bucket count clamps at 64 (the uint64 value range).
   EXPECT_TRUE(Histogram::pow2(0).bounds().empty());
   EXPECT_EQ(Histogram::pow2(100).bounds().size(), 64u);
-}
-
-TEST(Histogram, MergeRequiresIdenticalBounds) {
-  Histogram a({1, 4});
-  Histogram b({1, 4});
-  a.record(1);
-  a.record(9);
-  b.record(3);
-  a += b;
-  EXPECT_EQ(a.counts(), (std::vector<std::uint64_t>{1, 1, 1}));
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.sum(), 13u);
-
-  Histogram c({1, 8});
-  EXPECT_THROW(a += c, std::invalid_argument);
 }
 
 TEST(Digest, IsStableAndOrderSensitive) {

@@ -128,6 +128,18 @@ TEST(ScenarioMatrix, SetRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(m.set("n", "12,abc"), std::invalid_argument);
   EXPECT_THROW(m.set("eps", "0.5x"), std::invalid_argument);
   EXPECT_THROW(m.set("verify-mode", "sometimes"), std::invalid_argument);
+  // An unknown mode must not fall through to practical, and a negative count
+  // must not wrap (`verify = -1` would ask for 4,294,967,295 sources).
+  EXPECT_THROW(m.set("mode", "bogus"), std::invalid_argument);
+  EXPECT_THROW(m.set("verify", "-1"), std::invalid_argument);
+  EXPECT_THROW(m.set("verify-threads", "-1"), std::invalid_argument);
+  EXPECT_THROW(m.set("build-threads", "-2"), std::invalid_argument);
+  EXPECT_EQ(m.mode, "practical");
+  EXPECT_EQ(m.verify_sources, 16u);
+  EXPECT_EQ(m.verify_threads, 1u);
+  EXPECT_EQ(m.build_threads, 0u);
+  m.set("mode", "paper");
+  EXPECT_EQ(m.mode, "paper");
   try {
     m.set("n", "abc");
     FAIL() << "expected invalid_argument";
@@ -165,10 +177,11 @@ TEST(ScenarioMatrix, FromFileParsesKeysCommentsAndReportsLines) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(":2"), std::string::npos);
   }
-  // The retired serving-cluster axes are plain unknown keys: an old scenario
-  // file naming one fails loudly instead of silently serving differently.
+  // The retired serving-cluster axes and the BFS-kernel axis are plain
+  // unknown keys: an old scenario file naming one fails loudly instead of
+  // silently serving differently.
   for (const char* retired : {"cluster-shards", "partition", "replicas",
-                              "route"}) {
+                              "route", "bfs-kernel"}) {
     {
       std::ofstream out(path);
       out << "family = er\n" << retired << " = 2\n";

@@ -20,8 +20,8 @@
 //
 // The answers file has one "u v d" line per request in request order (d is
 // "inf" for disconnected pairs) and is byte-identical at every
-// --query-threads value, every --cache-budget, and every --bfs-kernel —
-// that invariant is CI's cmp gate over this binary.
+// --query-threads value and every --cache-budget — that invariant is CI's
+// cmp gate over this binary.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -29,9 +29,7 @@
 
 #include "apps/distance_oracle.hpp"
 #include "apps/query_workload.hpp"
-#include "core/params.hpp"
-#include "graph/generators.hpp"
-#include "graph/io.hpp"
+#include "run/oracle_source.hpp"
 #include "run/scenario.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
@@ -46,17 +44,7 @@ int main(int argc, char** argv) {
     // Oracle source: a snapshot, or a graph + schedule to build from.
     const std::string load_path =
         flags.str("load", "", "load a serving snapshot instead of building");
-    const std::string family = flags.str(
-        "family", "er", "graph family (or file:<path> for an edge list)");
-    const auto n = static_cast<graph::Vertex>(
-        flags.integer("n", 1024, "target vertex count (generated families)"));
-    const auto seed = static_cast<std::uint64_t>(
-        flags.integer("seed", 1, "graph generator seed"));
-    const double eps = flags.real("eps", 0.25, "schedule epsilon");
-    const int kappa = static_cast<int>(flags.integer("kappa", 3, "schedule kappa"));
-    const double rho = flags.real("rho", 0.4, "schedule rho");
-    const std::string mode =
-        flags.str("mode", "practical", "schedule mode: practical|paper");
+    const run::ScenarioSpec build = run::oracle_build_flags(flags);
     const std::string save_path =
         flags.str("save", "", "write the serving snapshot to this path");
     const std::string convert_path = flags.str(
@@ -84,10 +72,6 @@ int main(int argc, char** argv) {
         "cache-budget", 64 << 20, "source-cache budget in bytes, 0 = off"));
     const auto query_threads = static_cast<unsigned>(non_negative(
         "query-threads", 1, "batch-query shards, 0 = all cores"));
-    const std::string bfs_kernel_name = flags.str(
-        "bfs-kernel", "auto",
-        "BFS traversal kernel: topdown|hybrid|auto (answers are "
-        "byte-identical for every choice)");
 
     // Requests: an explicit file, or a generated workload.
     const std::string query_file =
@@ -115,24 +99,9 @@ int main(int argc, char** argv) {
     const auto snapshot_format =
         apps::parse_snapshot_format(snapshot_format_name);
 
-    const apps::OracleOptions oracle_options{
-        .cache_budget_bytes = cache_budget,
-        .bfs_kernel = graph::parse_bfs_kernel(bfs_kernel_name)};
     util::Timer build_timer;
-    apps::SpannerDistanceOracle oracle = [&] {
-      if (!load_path.empty()) {
-        return apps::SpannerDistanceOracle::load_file(load_path,
-                                                      oracle_options);
-      }
-      const graph::Graph g = family.rfind("file:", 0) == 0
-                                 ? graph::read_edge_list_file(family.substr(5))
-                                 : graph::make_workload(family, n, seed);
-      const auto params =
-          mode == "paper"
-              ? core::Params::paper(g.num_vertices(), eps, kappa, rho)
-              : core::Params::practical(g.num_vertices(), eps, kappa, rho);
-      return apps::SpannerDistanceOracle(g, params, oracle_options);
-    }();
+    const apps::SpannerDistanceOracle oracle = run::open_oracle(
+        load_path, build, {.cache_budget_bytes = cache_budget});
     const double build_ms = build_timer.millis();
     std::cerr << "oracle: " << oracle.summary() << ", guarantee d_H <= "
               << oracle.multiplicative() << "*d_G + " << oracle.additive()

@@ -24,8 +24,8 @@
 // the process exits 0.  A second signal exits immediately.
 //
 // Answer lines are byte-identical to nas_oracle for the same requests at
-// every --threads/--bfs-kernel/--cache-budget value (--threads is
-// nas_oracle's --query-threads) — CI's serving gate replays a workload
+// every --threads/--cache-budget value (--threads is nas_oracle's
+// --query-threads) — CI's serving gate replays a workload
 // through bench/serve_latency and cmp's the transcript against the
 // nas_oracle answers file.
 #include <atomic>
@@ -35,11 +35,8 @@
 #include <string>
 
 #include "apps/distance_oracle.hpp"
-#include "apps/snapshot.hpp"
-#include "core/params.hpp"
-#include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "net/server.hpp"
+#include "run/oracle_source.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
 
@@ -73,20 +70,11 @@ int main(int argc, char** argv) {
 
     // Oracle source: a snapshot, or a graph + schedule to build from (same
     // flags as nas_oracle).
-    const std::string load_path =
-        flags.str("load", "", "load a serving snapshot instead of building");
-    const std::string family = flags.str(
-        "family", "er", "graph family (or file:<path> for an edge list)");
-    const auto n = static_cast<graph::Vertex>(
-        flags.integer("n", 1024, "target vertex count (generated families)"));
-    const auto seed = static_cast<std::uint64_t>(
-        flags.integer("seed", 1, "graph generator seed"));
-    const double eps = flags.real("eps", 0.25, "schedule epsilon");
-    const int kappa =
-        static_cast<int>(flags.integer("kappa", 3, "schedule kappa"));
-    const double rho = flags.real("rho", 0.4, "schedule rho");
-    const std::string mode =
-        flags.str("mode", "practical", "schedule mode: practical|paper");
+    const std::string load_path = flags.str(
+        "load", "",
+        "load a serving snapshot (v1 or v2, detected from the file) instead "
+        "of building");
+    const run::ScenarioSpec build = run::oracle_build_flags(flags);
 
     const auto non_negative = [&](const char* name, std::int64_t fallback,
                                   const char* desc) {
@@ -98,19 +86,11 @@ int main(int argc, char** argv) {
       }
       return parsed;
     };
-    const std::string snapshot_format_guard = flags.str(
-        "snapshot-format", "auto",
-        "require the --load snapshot to be this format: auto|v1|v2 (auto "
-        "accepts either; a mismatch is an error before the load runs)");
     const auto cache_budget = static_cast<std::uint64_t>(non_negative(
         "cache-budget", 64 << 20, "source-cache budget in bytes, 0 = off"));
     const auto threads = static_cast<unsigned>(non_negative(
         "threads", 1,
         "BFS threads per batch (nas_oracle's --query-threads), 0 = all cores"));
-    const std::string bfs_kernel_name = flags.str(
-        "bfs-kernel", "auto",
-        "BFS traversal kernel: topdown|hybrid|auto (answers are "
-        "byte-identical for every choice)");
 
     // Daemon flags.
     const std::string listen =
@@ -140,40 +120,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     flags.reject_unknown();
-    if (snapshot_format_guard != "auto" && snapshot_format_guard != "v1" &&
-        snapshot_format_guard != "v2") {
-      throw std::invalid_argument(
-          "flag --snapshot-format must be auto|v1|v2, got \"" +
-          snapshot_format_guard + "\"");
-    }
-    if (snapshot_format_guard != "auto" && !load_path.empty()) {
-      const auto want = apps::parse_snapshot_format(snapshot_format_guard);
-      const auto have = apps::detect_snapshot_format(load_path);
-      if (have != want) {
-        throw std::runtime_error(
-            std::string("snapshot ") + load_path + " is " +
-            apps::snapshot_format_name(have) + " but --snapshot-format " +
-            snapshot_format_guard + " was requested");
-      }
-    }
 
-    const apps::OracleOptions oracle_options{
-        .cache_budget_bytes = cache_budget,
-        .bfs_kernel = graph::parse_bfs_kernel(bfs_kernel_name)};
-    apps::SpannerDistanceOracle oracle = [&] {
-      if (!load_path.empty()) {
-        return apps::SpannerDistanceOracle::load_file(load_path,
-                                                      oracle_options);
-      }
-      const graph::Graph g = family.rfind("file:", 0) == 0
-                                 ? graph::read_edge_list_file(family.substr(5))
-                                 : graph::make_workload(family, n, seed);
-      const auto params =
-          mode == "paper"
-              ? core::Params::paper(g.num_vertices(), eps, kappa, rho)
-              : core::Params::practical(g.num_vertices(), eps, kappa, rho);
-      return apps::SpannerDistanceOracle(g, params, oracle_options);
-    }();
+    apps::SpannerDistanceOracle oracle = run::open_oracle(
+        load_path, build, {.cache_budget_bytes = cache_budget});
     std::cerr << "oracle: " << oracle.summary() << ", guarantee d_H <= "
               << oracle.multiplicative() << "*d_G + " << oracle.additive()
               << ", cache capacity " << oracle.cache_capacity()
