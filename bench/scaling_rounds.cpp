@@ -37,15 +37,12 @@ int main(int argc, char** argv) {
       flags.str("csv", "", "unified CSV rows output path");
   const std::string json_path =
       flags.str("json", "", "unified JSON rows output path");
-  // Substrate selection for the engine-backed Algorithm 1 cross-check:
-  // --crosscheck re-simulates every phase round-by-round, so large-n runs
-  // should pick --substrate parallel (optionally --threads N).
+  // --crosscheck re-simulates every phase's Algorithm 1 round-by-round, so
+  // large-n runs should give the round engine more --threads.
   matrix.crosscheck = flags.boolean(
       "crosscheck", false, "re-simulate Algorithm 1 on the round engine");
-  matrix.substrate = flags.str("substrate", "serial",
-                               "cross-check substrate: serial|parallel|alpha");
-  matrix.build_threads = static_cast<unsigned>(
-      flags.integer("threads", 0, "parallel-substrate workers, 0 = all"));
+  matrix.build_threads = flags.integer_as<unsigned>(
+      "threads", 1, "cross-check engine workers, 0 = all cores");
   matrix.verify_sources = static_cast<std::uint32_t>(
       flags.integer("verify", 0, "sampled verification sources (0 = off)"));
   matrix.verify_mode = matrix.verify_sources > 0 ? "sampled" : "off";
@@ -64,7 +61,9 @@ int main(int argc, char** argv) {
   bench::banner("S1", "round complexity scaling: rounds vs n");
   std::cout << "family=" << family << " eps=" << eps << " kappa=" << kappa
             << " rho=" << rho;
-  if (matrix.crosscheck) std::cout << " crosscheck=" << matrix.substrate;
+  if (matrix.crosscheck) {
+    std::cout << " crosscheck_threads=" << matrix.build_threads;
+  }
   std::cout << "\n\n";
 
   run::Runner runner;

@@ -15,9 +15,9 @@
 // against engine-based references in the test suite.
 //
 // `Mailbox` is an abstract sending surface so the same NodeProgram can also
-// be executed by other substrates — in particular the α-synchronizer over
-// the asynchronous engine (congest/async.hpp), which must produce
-// bit-identical program state.
+// be executed by the other engines — the multi-threaded round engine
+// (congest/parallel.hpp) and the α-synchronizer over the asynchronous engine
+// (congest/async.hpp) — which must produce bit-identical program state.
 #pragma once
 
 #include <cstdint>

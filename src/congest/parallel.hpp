@@ -22,7 +22,8 @@
 // has no business reading another node's memory), the resulting program
 // state is bit-identical to `Engine` and to the α-synchronizer for every
 // thread count.  tests/test_substrate_equivalence.cpp enforces this across
-// all three substrates.
+// all three engines.  core::run_algorithm1_exact (build_spanner's
+// Algorithm 1 cross-check) runs on this engine.
 //
 // Bandwidth enforcement is unchanged: a second send over one edge-direction
 // in one round throws std::logic_error, a send to a non-neighbor throws

@@ -57,16 +57,14 @@ void check_ruling_contract(const Graph& g, const std::vector<Vertex>& w,
 }
 
 /// BuildOptions::cross_check_alg1: the event-driven Algorithm 1 must match
-/// an exact engine-backed reference execution bit-for-bit, on whichever
-/// substrate the caller selected.  The reference is verification work, so it
-/// is not charged to the run's ledger.
+/// an exact engine-backed reference execution bit-for-bit.  The reference is
+/// verification work, so it is not charged to the run's ledger.
 void check_alg1_reference(const Graph& g, const std::vector<Vertex>& centers,
                           std::uint64_t delta, std::uint64_t cap,
-                          const Algorithm1Result& fast,
-                          const congest::SubstrateOptions& substrate,
+                          const Algorithm1Result& fast, unsigned threads,
                           int phase) {
   const Algorithm1Result exact =
-      run_algorithm1_exact(g, centers, delta, cap, nullptr, substrate);
+      run_algorithm1_exact(g, centers, delta, cap, nullptr, threads);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     bool ok = fast.knowledge[v].size() == exact.knowledge[v].size() &&
               fast.popular[v] == exact.popular[v];
@@ -78,8 +76,8 @@ void check_alg1_reference(const Graph& g, const std::vector<Vertex>& centers,
     if (!ok) {
       throw std::logic_error(
           "Algorithm 1 cross-check failed in phase " + std::to_string(phase) +
-          " at vertex " + std::to_string(v) + " (substrate " +
-          std::string(congest::substrate_name(substrate.substrate)) + ")");
+          " at vertex " + std::to_string(v) + " (cross_check_threads " +
+          std::to_string(threads) + ")");
     }
   }
 }
@@ -152,7 +150,7 @@ SpannerResult build_spanner(const Graph& g, const Params& params,
 
     if (options.cross_check_alg1) {
       check_alg1_reference(g, centers, sched.delta, cap, alg1,
-                           options.substrate, i);
+                           options.cross_check_threads, i);
     }
 
     std::vector<Vertex> popular;

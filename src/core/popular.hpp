@@ -36,16 +36,16 @@
 //                            full.  Acceptance order is therefore (layer,
 //                            origin) and the parent is the smallest sender —
 //                            exactly the CONGEST execution's choices.
-//   * run_algorithm1_exact — executes on the exact per-round CONGEST engine;
-//                            used by the tests to cross-validate the
-//                            fast result bit-for-bit on small inputs.
+//   * run_algorithm1_exact — executes on the exact per-round CONGEST engine
+//                            (congest::ParallelEngine); used by the tests
+//                            and build_spanner's cross-check to validate
+//                            the fast result bit-for-bit.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "congest/ledger.hpp"
-#include "congest/substrate.hpp"
 #include "graph/graph.hpp"
 
 namespace nas::core {
@@ -85,15 +85,13 @@ struct Algorithm1Result {
     congest::Ledger* ledger = nullptr);
 
 /// Exact engine-backed reference (δ·cap+2 real simulated rounds); used by
-/// the tests and by build_spanner's cross-check mode.  `substrate` selects
-/// the execution substrate — the serial engine, the multi-threaded engine
-/// (for large n), or the α-synchronizer; the result is bit-identical on all
-/// three.
+/// the tests and by build_spanner's cross-check mode.  Runs on
+/// congest::ParallelEngine with `threads` workers (0 = all cores); the
+/// result is bit-identical at every thread count.
 [[nodiscard]] Algorithm1Result run_algorithm1_exact(
     const graph::Graph& g, const std::vector<graph::Vertex>& sources,
     std::uint64_t delta, std::uint64_t cap,
-    congest::Ledger* ledger = nullptr,
-    const congest::SubstrateOptions& substrate = {});
+    congest::Ledger* ledger = nullptr, unsigned threads = 1);
 
 /// Convenience: looks up `origin` in knowledge[v]; returns nullptr if absent.
 [[nodiscard]] const Knowledge* find_knowledge(

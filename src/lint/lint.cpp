@@ -492,12 +492,12 @@ void check_header_hygiene(FileContext& ctx) {
   }
 }
 
-// flag-description: `flags.str/integer/real/boolean(...)` must pass a
-// description (the third argument) so `--help` stays complete.  Keyed on the
-// conventional `flags` receiver used by every CLI/bench/example binary.
+// flag-description: `flags.str/integer/integer_as<T>/real/boolean(...)` must
+// pass a description (the third argument) so `--help` stays complete.  Keyed
+// on the conventional `flags` receiver used by every CLI/bench/example binary.
 void check_flag_description(FileContext& ctx) {
-  static const std::vector<std::string> kAccessors = {"str", "integer", "real",
-                                                      "boolean"};
+  static const std::vector<std::string> kAccessors = {
+      "str", "integer", "integer_as", "real", "boolean"};
   const auto& code = ctx.stripped.code;
   for (std::size_t i = 0; i < code.size(); ++i) {
     const auto& line = code[i];
@@ -511,7 +511,8 @@ void check_flag_description(FileContext& ctx) {
       for (const auto& candidate : kAccessors) {
         if (line.compare(at, candidate.size(), candidate) == 0 &&
             at + candidate.size() < line.size() &&
-            line[at + candidate.size()] == '(') {
+            (line[at + candidate.size()] == '(' ||
+             line[at + candidate.size()] == '<')) {
           accessor = candidate;
         }
       }

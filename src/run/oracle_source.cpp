@@ -9,13 +9,13 @@ ScenarioSpec oracle_build_flags(const util::Flags& flags) {
   ScenarioSpec spec;
   spec.family = flags.str("family", spec.family,
                           "graph family (or file:<path> for an edge list)");
-  spec.n = static_cast<graph::Vertex>(flags.integer(
-      "n", spec.n, "target vertex count (generated families)"));
+  spec.n = vertex_count(
+      "n",
+      flags.integer("n", spec.n, "target vertex count (generated families)"));
   spec.seed = static_cast<std::uint64_t>(flags.integer(
       "seed", static_cast<std::int64_t>(spec.seed), "graph generator seed"));
   spec.eps = flags.real("eps", spec.eps, "schedule epsilon");
-  spec.kappa =
-      static_cast<int>(flags.integer("kappa", spec.kappa, "schedule kappa"));
+  spec.kappa = flags.integer_as<int>("kappa", spec.kappa, "schedule kappa");
   spec.rho = flags.real("rho", spec.rho, "schedule rho");
   spec.mode = flags.str("mode", spec.mode, "schedule mode: practical|paper");
   return spec;

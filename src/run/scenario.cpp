@@ -80,7 +80,6 @@ std::vector<ScenarioSpec> ScenarioMatrix::expand() const {
                           s.kappa = kappa;
                           s.rho = rho;
                           s.mode = mode;
-                          s.substrate = substrate;
                           s.build_threads = build_threads;
                           s.crosscheck = crosscheck;
                           s.validate = validate;
@@ -140,30 +139,32 @@ std::vector<T> parse_list(const std::string& key, const std::string& value,
   return out;
 }
 
+/// An integer value that must fit T: range-checked, never wrapped.  A
+/// negative typo would otherwise become a huge count (an "unbounded" cache
+/// from `cache-budget = -4096`), an oversized one a small count
+/// (`n = 4294967306` ran as n = 10).
+template <typename T>
+T parse_as(const std::string& key, const std::string& value) {
+  return util::Flags::narrow<T>(key, util::Flags::parse_integer(key, value));
+}
+
 }  // namespace
 
 void ScenarioMatrix::set(const std::string& key, const std::string& value) {
-  const auto ints = [&](const std::string& k, const std::string& v) {
+  const auto ints = [](const std::string& k, const std::string& v) {
     return util::Flags::parse_integer(k, v);
   };
-  // Keys stored into unsigned fields where a negative typo would otherwise
-  // wrap to a huge value (an "unbounded" cache from `cache-budget = -4096`).
-  const auto non_negative = [&](const std::string& k, const std::string& v) {
-    const auto parsed = util::Flags::parse_integer(k, v);
-    if (parsed < 0) {
-      throw std::invalid_argument("scenario key \"" + k +
-                                  "\" must be >= 0, got " + v);
-    }
-    return parsed;
-  };
-  const auto reals = [&](const std::string& k, const std::string& v) {
+  const auto reals = [](const std::string& k, const std::string& v) {
     return util::Flags::parse_real(k, v);
   };
   if (key == "family") {
     families = parse_list<std::string>(
         key, value, [](const std::string&, const std::string& v) { return v; });
   } else if (key == "n") {
-    ns = parse_list<graph::Vertex>(key, value, ints);
+    ns = parse_list<graph::Vertex>(
+        key, value, [](const std::string& k, const std::string& v) {
+          return vertex_count(k, util::Flags::parse_integer(k, v));
+        });
   } else if (key == "seed") {
     seeds = parse_list<std::uint64_t>(key, value, ints);
   } else if (key == "algo") {
@@ -174,22 +175,20 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
   } else if (key == "eps") {
     epss = parse_list<double>(key, value, reals);
   } else if (key == "kappa") {
-    kappas = parse_list<int>(key, value, ints);
+    kappas = parse_list<int>(key, value, parse_as<int>);
   } else if (key == "rho") {
     rhos = parse_list<double>(key, value, reals);
   } else if (key == "mode") {
     core::Params::check_mode(value);
     mode = value;
-  } else if (key == "substrate") {
-    substrate = value;
   } else if (key == "build-threads") {
-    build_threads = static_cast<unsigned>(non_negative(key, value));
+    build_threads = parse_as<unsigned>(key, value);
   } else if (key == "crosscheck") {
-    crosscheck = util::Flags::parse_boolean(value);
+    crosscheck = util::Flags::parse_boolean(key, value);
   } else if (key == "validate") {
-    validate = util::Flags::parse_boolean(value);
+    validate = util::Flags::parse_boolean(key, value);
   } else if (key == "verify") {
-    verify_sources = static_cast<std::uint32_t>(non_negative(key, value));
+    verify_sources = parse_as<std::uint32_t>(key, value);
     // Derive the mode, but never downgrade an explicitly requested "exact"
     // (e.g. a scenario file's `verify-mode = exact` refined by --verify N).
     if (verify_sources == 0) {
@@ -204,7 +203,7 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
     }
     verify_mode = value;
   } else if (key == "verify-threads") {
-    verify_threads = static_cast<unsigned>(non_negative(key, value));
+    verify_threads = parse_as<unsigned>(key, value);
   } else if (key == "verify-seed") {
     verify_seed = static_cast<std::uint64_t>(ints(key, value));
   } else if (key == "workload") {
@@ -217,9 +216,10 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
           return v;
         });
   } else if (key == "cache-budget") {
-    cache_budgets = parse_list<std::uint64_t>(key, value, non_negative);
+    cache_budgets =
+        parse_list<std::uint64_t>(key, value, parse_as<std::uint64_t>);
   } else if (key == "query-threads") {
-    query_threads = parse_list<unsigned>(key, value, non_negative);
+    query_threads = parse_list<unsigned>(key, value, parse_as<unsigned>);
   } else if (key == "snapshot-format") {
     snapshot_formats = parse_list<std::string>(
         key, value, [](const std::string&, const std::string& v) {
@@ -230,7 +230,7 @@ void ScenarioMatrix::set(const std::string& key, const std::string& value) {
           return v;
         });
   } else if (key == "queries") {
-    queries = static_cast<std::uint64_t>(non_negative(key, value));
+    queries = parse_as<std::uint64_t>(key, value);
   } else if (key == "workload-seed") {
     workload_seed = static_cast<std::uint64_t>(ints(key, value));
   } else if (key == "zipf-theta") {
@@ -257,8 +257,7 @@ void ScenarioMatrix::apply_flags(const util::Flags& flags) {
       {"kappa", "3", "kappa values (comma list)"},
       {"rho", "0.4", "rho values (comma list)"},
       {"mode", "practical", "schedule mode: practical|paper"},
-      {"substrate", "serial", "engine substrate: serial|parallel|alpha"},
-      {"build-threads", "0", "parallel-substrate workers, 0 = all cores"},
+      {"build-threads", "1", "cross-check engine workers, 0 = all cores"},
       {"crosscheck", "false", "re-simulate Algorithm 1 on the round engine"},
       {"validate", "false", "check structural lemmas during the build"},
       {"verify", "0", "sampled verification sources, 0 = off (sets verify-mode)"},

@@ -2,8 +2,8 @@
 //
 // A ScenarioSpec is everything one experiment datapoint needs: the graph
 // source (generator family + size + seed, or an edge-list file), the spanner
-// algorithm and its parameters, the CONGEST substrate for engine-backed
-// cross-checks, and the verification settings.  A ScenarioMatrix holds one
+// algorithm and its parameters, the round-engine workers for the Algorithm 1
+// cross-check, and the verification settings.  A ScenarioMatrix holds one
 // list of values per axis and expands to the cross product in a fixed,
 // documented order, so every consumer — the nas_run CLI, the bench wrappers,
 // the tests — agrees on which row is which.
@@ -50,10 +50,9 @@ struct ScenarioSpec {
   std::string mode = "practical";  ///< "practical" | "paper"
 
   // Engine-backed execution options (see core::BuildOptions).
-  std::string substrate = "serial";  ///< "serial" | "parallel" | "alpha"
-  unsigned build_threads = 0;        ///< parallel substrate workers, 0 = all
-  bool crosscheck = false;           ///< re-simulate Algorithm 1 round-by-round
-  bool validate = false;             ///< structural lemma validation
+  unsigned build_threads = 1;  ///< cross-check engine workers, 0 = all cores
+  bool crosscheck = false;     ///< re-simulate Algorithm 1 round-by-round
+  bool validate = false;       ///< structural lemma validation
 
   // Stretch verification of the produced spanner.
   std::string verify_mode = "off";   ///< "off" | "sampled" | "exact"
@@ -105,8 +104,7 @@ struct ScenarioMatrix {
 
   // Scalar (non-matrix) settings copied into every spec.
   std::string mode = "practical";
-  std::string substrate = "serial";
-  unsigned build_threads = 0;
+  unsigned build_threads = 1;
   bool crosscheck = false;
   bool validate = false;
   std::string verify_mode = "off";
@@ -145,6 +143,16 @@ struct ScenarioMatrix {
   /// number on malformed input.
   [[nodiscard]] static ScenarioMatrix from_file(const std::string& path);
 };
+
+/// `value` as a vertex count: range-checked below graph::kInvalidVertex (the
+/// "no vertex" sentinel) instead of wrapped; throws std::invalid_argument
+/// naming `key` and the value.  Shared by the `n` key and the tools' --n
+/// (inline, so the serving tools need not link the scenario code).
+[[nodiscard]] inline graph::Vertex vertex_count(const std::string& key,
+                                                std::int64_t value) {
+  return util::Flags::narrow<graph::Vertex>(key, value, 0,
+                                            graph::kInvalidVertex - 1);
+}
 
 /// Splits "a,b,c" into trimmed non-empty items ("" -> empty vector).
 [[nodiscard]] std::vector<std::string> split_list(const std::string& text);

@@ -16,10 +16,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace nas::util {
@@ -74,13 +76,44 @@ class Flags {
                              const std::string& desc = "") const {
     describe(name, fallback ? "true" : "false", desc);
     const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    return parse_boolean(it->second);
+    if (it == values_.end() || help_) return fallback;
+    return parse_boolean(name, it->second);
   }
 
-  /// The one truthy-token list, shared with scenario-file values.
-  [[nodiscard]] static bool parse_boolean(const std::string& text) {
-    return text == "true" || text == "1" || text == "yes";
+  /// integer(), range-checked into T through narrow().
+  template <typename T>
+  [[nodiscard]] T integer_as(const std::string& name, T fallback,
+                             const std::string& desc = "") const {
+    return narrow<T>(name, integer(name, static_cast<std::int64_t>(fallback),
+                                   desc));
+  }
+
+  /// The one boolean vocabulary, shared with scenario-file values:
+  /// true|1|yes and false|0|no.  Anything else (a typo like "ture") throws
+  /// std::invalid_argument naming the flag instead of reading as false.
+  [[nodiscard]] static bool parse_boolean(const std::string& name,
+                                          const std::string& text) {
+    if (text == "true" || text == "1" || text == "yes") return true;
+    if (text == "false" || text == "0" || text == "no") return false;
+    throw std::invalid_argument("flag --" + name +
+                                " expects true|1|yes|false|0|no, got \"" +
+                                text + "\"");
+  }
+
+  /// Range-checked narrowing of a parsed integer into T, within [lo, hi]
+  /// (T's whole range by default).  A value that would wrap in a plain
+  /// static_cast (--n 4294967306 -> 10, --threads -1 -> 4294967295) throws
+  /// std::invalid_argument naming the flag and the value.
+  template <typename T>
+  [[nodiscard]] static T narrow(const std::string& name, std::int64_t value,
+                                T lo = std::numeric_limits<T>::min(),
+                                T hi = std::numeric_limits<T>::max()) {
+    if (std::cmp_less(value, lo) || std::cmp_greater(value, hi)) {
+      throw std::invalid_argument(
+          "flag --" + name + " must be in [" + std::to_string(lo) + ", " +
+          std::to_string(hi) + "], got " + std::to_string(value));
+    }
+    return static_cast<T>(value);
   }
 
   /// Strict parse helpers shared with list-valued flags: the whole string

@@ -1,12 +1,13 @@
-// Shared substrate-equivalence harness.
+// Shared round-engine equivalence harness.
 //
 // The library guarantees that a synchronous NodeProgram touching only its
 // own vertex's state produces bit-identical results on every execution
-// substrate: the serial round engine, the multi-threaded round engine at any
+// engine: the serial round engine, the multi-threaded round engine at any
 // thread count, and synchronizer α over the asynchronous engine.  This
-// header provides the pieces the substrate tests share:
+// header provides the pieces the equivalence tests share:
 //
-//   * a roster of substrate specs (serial, parallel × thread counts, alpha),
+//   * a roster of engine specs (serial, parallel × thread counts, alpha),
+//     each calling its engine directly,
 //   * reference node programs with externally comparable per-vertex state,
 //   * a runner that executes a program on a spec and snapshots the state.
 #pragma once
@@ -14,30 +15,63 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "congest/async.hpp"
 #include "congest/engine.hpp"
-#include "congest/substrate.hpp"
+#include "congest/parallel.hpp"
 #include "graph/graph.hpp"
 
 namespace nas::testing_support {
 
-/// One execution substrate configuration under test.
-struct SubstrateSpec {
-  congest::SubstrateOptions options;
-  std::string label;  // for gtest parameter names / failure messages
+/// A program's per-vertex state after an execution, and what the execution
+/// consumed in CONGEST terms.
+struct RunOutcome {
+  std::vector<std::uint64_t> state;
+  std::uint64_t rounds = 0;    ///< synchronous rounds executed
+  std::uint64_t messages = 0;  ///< program (payload) messages sent
 };
 
+/// One execution engine configuration under test: runs exactly `rounds`
+/// rounds of a program and reports rounds and messages (not state).
+struct EngineSpec {
+  std::string label;  // for gtest parameter names / failure messages
+  std::function<RunOutcome(const graph::Graph& g, std::uint64_t rounds,
+                           const congest::Engine::NodeProgram& program)>
+      run;
+};
+
+inline EngineSpec parallel_spec(unsigned threads) {
+  return {"parallel_t" + std::to_string(threads),
+          [threads](const graph::Graph& g, std::uint64_t rounds,
+                    const congest::Engine::NodeProgram& program) {
+            congest::ParallelEngine engine(g, {.threads = threads});
+            const std::uint64_t ran = engine.run_rounds(rounds, program);
+            return RunOutcome{{}, ran, engine.messages_sent()};
+          }};
+}
+
 /// Serial reference first, then every variant that must match it.
-inline std::vector<SubstrateSpec> all_substrate_specs() {
-  using congest::Substrate;
+inline std::vector<EngineSpec> all_engine_specs() {
   return {
-      {{.substrate = Substrate::kSerial}, "serial"},
-      {{.substrate = Substrate::kParallel, .threads = 1}, "parallel_t1"},
-      {{.substrate = Substrate::kParallel, .threads = 2}, "parallel_t2"},
-      {{.substrate = Substrate::kParallel, .threads = 8}, "parallel_t8"},
-      {{.substrate = Substrate::kAlpha, .alpha_seed = 7, .alpha_max_delay = 5},
-       "alpha"},
+      {"serial",
+       [](const graph::Graph& g, std::uint64_t rounds,
+          const congest::Engine::NodeProgram& program) {
+         congest::Engine engine(g);
+         const std::uint64_t ran = engine.run_rounds(rounds, program);
+         return RunOutcome{{}, ran, engine.messages_sent()};
+       }},
+      parallel_spec(1),
+      parallel_spec(2),
+      parallel_spec(8),
+      {"alpha",
+       [](const graph::Graph& g, std::uint64_t rounds,
+          const congest::Engine::NodeProgram& program) {
+         const congest::AlphaResult alpha = congest::run_alpha_synchronized(
+             g, rounds, program, {.seed = 7, .max_delay = 5});
+         return RunOutcome{{}, alpha.rounds, alpha.payload_messages};
+       }},
   };
 }
 
@@ -91,7 +125,7 @@ inline ProgramFactory min_id_program_factory() {
 
 /// Order-sensitive mixer: every round each vertex hashes its (sorted) inbox
 /// into its state and re-broadcasts.  Any difference in inbox ordering or
-/// message content between substrates snowballs, so this is the sharpest
+/// message content between engines snowballs, so this is the sharpest
 /// bit-identity probe of the three.
 inline ProgramFactory mixer_program_factory() {
   return [](const graph::Graph& g, std::vector<std::uint64_t>& state) {
@@ -118,22 +152,14 @@ inline ProgramFactory mixer_program_factory() {
   };
 }
 
-struct RunOutcome {
-  std::vector<std::uint64_t> state;
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-};
-
-/// Runs `factory`'s program for `rounds` rounds on the given substrate.
+/// Runs `factory`'s program for `rounds` rounds on the given engine.
 inline RunOutcome run_on(const graph::Graph& g, std::uint64_t rounds,
                          const ProgramFactory& factory,
-                         const SubstrateSpec& spec) {
-  RunOutcome out;
-  const auto program = factory(g, out.state);
-  const congest::SubstrateRun run =
-      congest::run_on_substrate(g, rounds, program, spec.options);
-  out.rounds = run.rounds;
-  out.messages = run.messages;
+                         const EngineSpec& spec) {
+  std::vector<std::uint64_t> state;
+  const auto program = factory(g, state);
+  RunOutcome out = spec.run(g, rounds, program);
+  out.state = std::move(state);
   return out;
 }
 

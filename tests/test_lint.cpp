@@ -140,6 +140,7 @@ TEST(Lint, FlagDescriptionFiresOnMissingThirdArgument) {
   EXPECT_EQ(keyed(diags), (std::vector<std::string>{
                               "tools/flag_description.cpp:6:flag-description",
                               "tools/flag_description.cpp:7:flag-description",
+                              "tools/flag_description.cpp:12:flag-description",
                           }));
 }
 

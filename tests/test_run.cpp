@@ -134,10 +134,41 @@ TEST(ScenarioMatrix, SetRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(m.set("verify", "-1"), std::invalid_argument);
   EXPECT_THROW(m.set("verify-threads", "-1"), std::invalid_argument);
   EXPECT_THROW(m.set("build-threads", "-2"), std::invalid_argument);
+  // Nor may an oversized value wrap when narrowed: n = 4294967306 used to
+  // run as n = 10, query-threads = 4294967296 as 0 (all cores).  n must
+  // also stay below graph::kInvalidVertex, the "no vertex" sentinel.
+  EXPECT_THROW(m.set("n", "4294967306"), std::invalid_argument);
+  EXPECT_THROW(m.set("n", "-1"), std::invalid_argument);
+  EXPECT_THROW(m.set("n", "4294967295"), std::invalid_argument);
+  EXPECT_THROW(m.set("kappa", "4294967299"), std::invalid_argument);
+  EXPECT_THROW(m.set("verify", "4294967296"), std::invalid_argument);
+  EXPECT_THROW(m.set("verify-threads", "4294967296"), std::invalid_argument);
+  EXPECT_THROW(m.set("build-threads", "4294967296"), std::invalid_argument);
+  EXPECT_THROW(m.set("query-threads", "4294967296"), std::invalid_argument);
+  // Booleans take true|1|yes|false|0|no only: a typo is not "false".
+  EXPECT_THROW(m.set("crosscheck", "ture"), std::invalid_argument);
+  EXPECT_THROW(m.set("validate", "foo"), std::invalid_argument);
   EXPECT_EQ(m.mode, "practical");
+  EXPECT_EQ(m.ns, (std::vector<graph::Vertex>{1024}));
+  EXPECT_EQ(m.kappas, (std::vector<int>{3}));
+  EXPECT_EQ(m.query_threads, (std::vector<unsigned>{1}));
   EXPECT_EQ(m.verify_sources, 16u);
   EXPECT_EQ(m.verify_threads, 1u);
-  EXPECT_EQ(m.build_threads, 0u);
+  EXPECT_EQ(m.build_threads, 1u);
+  EXPECT_FALSE(m.crosscheck);
+  m.set("crosscheck", "yes");
+  EXPECT_TRUE(m.crosscheck);
+  m.set("crosscheck", "no");
+  EXPECT_FALSE(m.crosscheck);
+  m.set("n", "4294967294");
+  EXPECT_EQ(m.ns, (std::vector<graph::Vertex>{4294967294U}));
+  try {
+    m.set("query-threads", "4294967296");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("query-threads"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos);
+  }
   m.set("mode", "paper");
   EXPECT_EQ(m.mode, "paper");
   try {
@@ -177,11 +208,11 @@ TEST(ScenarioMatrix, FromFileParsesKeysCommentsAndReportsLines) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(":2"), std::string::npos);
   }
-  // The retired serving-cluster axes and the BFS-kernel axis are plain
-  // unknown keys: an old scenario file naming one fails loudly instead of
-  // silently serving differently.
+  // The retired serving-cluster axes, the BFS-kernel axis and the engine
+  // substrate are plain unknown keys: an old scenario file naming one fails
+  // loudly instead of silently running differently.
   for (const char* retired : {"cluster-shards", "partition", "replicas",
-                              "route", "bfs-kernel"}) {
+                              "route", "bfs-kernel", "substrate"}) {
     {
       std::ofstream out(path);
       out << "family = er\n" << retired << " = 2\n";

@@ -1,7 +1,7 @@
-// The substrate-equivalence contract: the serial engine, the multi-threaded
-// engine (thread counts 1, 2, 8), and synchronizer α must execute the same
-// NodeProgram to bit-identical per-vertex state, with identical payload
-// message counts, on every graph family.
+// The round-engine equivalence contract: the serial engine, the
+// multi-threaded engine (thread counts 1, 2, 8), and synchronizer α must
+// execute the same NodeProgram to bit-identical per-vertex state, with
+// identical payload message counts, on every graph family.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +15,7 @@
 namespace {
 
 using namespace nas;
-using testing_support::all_substrate_specs;
+using testing_support::all_engine_specs;
 using testing_support::ProgramFactory;
 using testing_support::RunOutcome;
 using testing_support::run_on;
@@ -29,19 +29,19 @@ struct EquivalenceCase {
 class SubstrateEquivalence
     : public ::testing::TestWithParam<EquivalenceCase> {};
 
-void expect_all_substrates_match(const graph::Graph& g, std::uint64_t rounds,
-                                 const ProgramFactory& factory,
-                                 const std::string& what) {
-  const auto specs = all_substrate_specs();
+void expect_all_engines_match(const graph::Graph& g, std::uint64_t rounds,
+                              const ProgramFactory& factory,
+                              const std::string& what) {
+  const auto specs = all_engine_specs();
   const RunOutcome reference = run_on(g, rounds, factory, specs.front());
   for (std::size_t i = 1; i < specs.size(); ++i) {
     const RunOutcome outcome = run_on(g, rounds, factory, specs[i]);
     EXPECT_EQ(outcome.state, reference.state)
-        << what << " diverged on substrate " << specs[i].label;
+        << what << " diverged on engine " << specs[i].label;
     EXPECT_EQ(outcome.messages, reference.messages)
-        << what << " message count diverged on substrate " << specs[i].label;
+        << what << " message count diverged on engine " << specs[i].label;
     EXPECT_EQ(outcome.rounds, reference.rounds)
-        << what << " round count diverged on substrate " << specs[i].label;
+        << what << " round count diverged on engine " << specs[i].label;
   }
 }
 
@@ -50,8 +50,8 @@ TEST_P(SubstrateEquivalence, BfsBitIdentical) {
   const auto g = graph::make_workload(tc.family, tc.n, tc.seed);
   const auto rounds = static_cast<std::uint64_t>(
       graph::diameter_largest_component(g) + 2);
-  expect_all_substrates_match(g, rounds, testing_support::bfs_program_factory(),
-                              "bfs");
+  expect_all_engines_match(g, rounds, testing_support::bfs_program_factory(),
+                           "bfs");
 }
 
 TEST_P(SubstrateEquivalence, MinIdFloodBitIdentical) {
@@ -59,9 +59,9 @@ TEST_P(SubstrateEquivalence, MinIdFloodBitIdentical) {
   const auto g = graph::make_workload(tc.family, tc.n, tc.seed);
   const auto rounds = static_cast<std::uint64_t>(
       graph::diameter_largest_component(g) + 2);
-  expect_all_substrates_match(g, rounds,
-                              testing_support::min_id_program_factory(),
-                              "min-id flood");
+  expect_all_engines_match(g, rounds,
+                           testing_support::min_id_program_factory(),
+                           "min-id flood");
 }
 
 TEST_P(SubstrateEquivalence, MixerBitIdentical) {
@@ -69,8 +69,8 @@ TEST_P(SubstrateEquivalence, MixerBitIdentical) {
   const auto g = graph::make_workload(tc.family, tc.n, tc.seed);
   // All-to-all traffic every round; a handful of rounds is plenty for any
   // ordering discrepancy to snowball through the hash chain.
-  expect_all_substrates_match(g, 6, testing_support::mixer_program_factory(),
-                              "mixer");
+  expect_all_engines_match(g, 6, testing_support::mixer_program_factory(),
+                           "mixer");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -83,26 +83,32 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivalenceCase{"hypercube", 64, 15}),
     [](const auto& param_info) { return param_info.param.family; });
 
-TEST(SubstrateEquivalence, CrossCheckedSpannerBuildAgreesOnAllSubstrates) {
+TEST(SubstrateEquivalence, CrossCheckedSpannerBuildAgreesAtEveryThreadCount) {
   // End-to-end: build_spanner's Algorithm 1 cross-check passes — i.e. the
-  // event-driven run matches the engine-backed reference bit-for-bit — on
-  // each substrate, and the spanners are identical.
+  // event-driven run matches the engine-backed reference bit-for-bit — at
+  // every cross-check engine thread count, and the spanners and ledgers are
+  // identical.
   const auto g = graph::make_workload("er", 150, 21);
   const auto params = core::Params::practical(g.num_vertices(), 0.5, 3, 0.4);
 
   std::vector<graph::Edge> reference_edges;
-  for (const auto& spec : all_substrate_specs()) {
-    core::BuildOptions options;
-    options.cross_check_alg1 = true;
-    options.substrate = spec.options;
-    const auto result = core::build_spanner(g, params, options);
+  std::uint64_t reference_rounds = 0;
+  std::uint64_t reference_messages = 0;
+  for (const unsigned threads : {1U, 2U, 8U}) {
+    const auto result = core::build_spanner(
+        g, params, {.cross_check_alg1 = true, .cross_check_threads = threads});
     if (reference_edges.empty()) {
       reference_edges = result.spanner.edges();
+      reference_rounds = result.ledger.rounds();
+      reference_messages = result.ledger.messages();
     } else {
       EXPECT_EQ(result.spanner.edges(), reference_edges)
-          << "spanner diverged on substrate " << spec.label;
+          << "spanner diverged at cross_check_threads " << threads;
+      EXPECT_EQ(result.ledger.rounds(), reference_rounds) << threads;
+      EXPECT_EQ(result.ledger.messages(), reference_messages) << threads;
     }
   }
+  EXPECT_FALSE(reference_edges.empty());
 }
 
 }  // namespace

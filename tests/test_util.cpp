@@ -153,6 +153,60 @@ TEST(Flags, ParsesSpaceAndEqualsForms) {
   EXPECT_NO_THROW(f.reject_unknown());
 }
 
+TEST(Flags, BooleanAcceptsSixTokensAndRejectsTheRest) {
+  const char* argv[] = {"prog", "--a", "yes", "--b=0",      "--c", "no",
+                        "--d",  "1",   "--e", "--crosscheck", "ture"};
+  Flags f(11, const_cast<char**>(argv));
+  EXPECT_TRUE(f.boolean("a", false));
+  EXPECT_FALSE(f.boolean("b", true));
+  EXPECT_FALSE(f.boolean("c", true));
+  EXPECT_TRUE(f.boolean("d", false));
+  EXPECT_TRUE(f.boolean("e", false));  // bare flag
+  try {
+    (void)f.boolean("crosscheck", false);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--crosscheck"), std::string::npos) << what;
+    EXPECT_NE(what.find("ture"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)Flags::parse_boolean("timing", "foo"),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::parse_boolean("timing", ""), std::invalid_argument);
+  EXPECT_TRUE(Flags::parse_boolean("timing", "true"));
+  EXPECT_FALSE(Flags::parse_boolean("timing", "false"));
+}
+
+TEST(Flags, NarrowRangeChecksInsteadOfWrapping) {
+  EXPECT_EQ(Flags::narrow<std::uint32_t>("n", 4294967295), 4294967295U);
+  EXPECT_THROW((void)Flags::narrow<std::uint32_t>("n", 4294967296),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::narrow<std::uint32_t>("n", -1),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::narrow<int>("kappa", 1LL << 31),
+               std::invalid_argument);
+  EXPECT_EQ(Flags::narrow<int>("kappa", -3), -3);
+  EXPECT_EQ(Flags::narrow<std::uint64_t>("bytes", 1LL << 40), 1ULL << 40);
+  EXPECT_THROW((void)Flags::narrow<std::uint64_t>("bytes", -4096),
+               std::invalid_argument);
+  EXPECT_THROW((void)Flags::narrow<std::uint32_t>("n", 7, 0, 6),
+               std::invalid_argument);
+  try {
+    (void)Flags::narrow<std::uint32_t>("n", 4294967306);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--n"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967306"), std::string::npos) << what;
+  }
+
+  const char* argv[] = {"prog", "--threads", "-1", "--port", "80"};
+  Flags f(5, const_cast<char**>(argv));
+  EXPECT_THROW((void)f.integer_as<unsigned>("threads", 1, "workers"),
+               std::invalid_argument);
+  EXPECT_EQ(f.integer_as<std::uint16_t>("port", 0, "port"), 80);
+}
+
 TEST(Flags, RejectUnknownThrowsOnTypos) {
   const char* argv[] = {"prog", "--kapa=3"};
   Flags f(2, const_cast<char**>(argv));

@@ -9,7 +9,7 @@
 //   ./nas_oracle --family er --n 2000 --seed 1 --eps 0.25 --save oracle.naso
 //
 //   # migrate a v1 text snapshot to the v2 binary (mmap-able) format
-//   ./nas_oracle --load oracle.naso --convert oracle.naso2 --snapshot-format v2
+//   ./nas_oracle --load oracle.naso --save oracle.naso2 --snapshot-format v2
 //
 //   # serve a zipfian heavy-traffic batch from the snapshot on 8 threads
 //   ./nas_oracle --load oracle.naso --workload zipf --queries 20000
@@ -45,41 +45,29 @@ int main(int argc, char** argv) {
     const std::string load_path =
         flags.str("load", "", "load a serving snapshot instead of building");
     const run::ScenarioSpec build = run::oracle_build_flags(flags);
-    const std::string save_path =
-        flags.str("save", "", "write the serving snapshot to this path");
-    const std::string convert_path = flags.str(
-        "convert", "",
-        "write the loaded/built oracle as a fresh snapshot to this path "
-        "(migration between --snapshot-format encodings)");
+    const std::string save_path = flags.str(
+        "save", "",
+        "write the loaded/built oracle as a snapshot to this path (with "
+        "--load, migrates between --snapshot-format encodings)");
     const std::string snapshot_format_name = flags.str(
         "snapshot-format", "v1",
-        "encoding for --save/--convert: v1 (text) | v2 (binary, mmap-able); "
+        "encoding for --save: v1 (text) | v2 (binary, mmap-able); "
         "--load auto-detects");
 
-    // Serving configuration.  Negative values would wrap to huge unsigned
-    // ones (an accidentally unbounded cache), so they are rejected here.
-    const auto non_negative = [&](const char* name, std::int64_t fallback,
-                                  const char* desc) {
-      const auto parsed = flags.integer(name, fallback, desc);
-      if (parsed < 0) {
-        throw std::invalid_argument(std::string("flag --") + name +
-                                    " must be non-negative, got " +
-                                    std::to_string(parsed));
-      }
-      return parsed;
-    };
-    const auto cache_budget = static_cast<std::uint64_t>(non_negative(
-        "cache-budget", 64 << 20, "source-cache budget in bytes, 0 = off"));
-    const auto query_threads = static_cast<unsigned>(non_negative(
-        "query-threads", 1, "batch-query shards, 0 = all cores"));
+    // Serving configuration.  Out-of-range values are rejected, never
+    // wrapped (a negative budget would be an accidentally unbounded cache).
+    const auto cache_budget = flags.integer_as<std::uint64_t>(
+        "cache-budget", 64 << 20, "source-cache budget in bytes, 0 = off");
+    const auto query_threads = flags.integer_as<unsigned>(
+        "query-threads", 1, "batch-query shards, 0 = all cores");
 
     // Requests: an explicit file, or a generated workload.
     const std::string query_file =
         flags.str("query-file", "", "answer 'u v' request lines from this file");
     const std::string workload = flags.str(
         "workload", "", "generate requests: uniform|zipf (empty = none)");
-    const auto num_queries = static_cast<std::uint64_t>(
-        non_negative("queries", 1000, "generated requests"));
+    const auto num_queries =
+        flags.integer_as<std::uint64_t>("queries", 1000, "generated requests");
     const auto workload_seed = static_cast<std::uint64_t>(
         flags.integer("workload-seed", 1, "request-generator seed"));
     const double zipf_theta =
@@ -112,12 +100,6 @@ int main(int argc, char** argv) {
       oracle.save_file(save_path, snapshot_format);
       std::cerr << "saved " << apps::snapshot_format_name(snapshot_format)
                 << " snapshot to " << save_path << "\n";
-    }
-    if (!convert_path.empty()) {
-      oracle.save_file(convert_path, snapshot_format);
-      std::cerr << "converted snapshot to "
-                << apps::snapshot_format_name(snapshot_format) << " at "
-                << convert_path << "\n";
     }
 
     std::vector<apps::Query> queries;

@@ -76,41 +76,33 @@ int main(int argc, char** argv) {
         "of building");
     const run::ScenarioSpec build = run::oracle_build_flags(flags);
 
-    const auto non_negative = [&](const char* name, std::int64_t fallback,
-                                  const char* desc) {
-      const auto parsed = flags.integer(name, fallback, desc);
-      if (parsed < 0) {
-        throw std::invalid_argument(std::string("flag --") + name +
-                                    " must be non-negative, got " +
-                                    std::to_string(parsed));
-      }
-      return parsed;
-    };
-    const auto cache_budget = static_cast<std::uint64_t>(non_negative(
-        "cache-budget", 64 << 20, "source-cache budget in bytes, 0 = off"));
-    const auto threads = static_cast<unsigned>(non_negative(
+    // Out-of-range values are rejected, never wrapped (--port 70000 would
+    // otherwise bind port 4464).
+    const auto cache_budget = flags.integer_as<std::uint64_t>(
+        "cache-budget", 64 << 20, "source-cache budget in bytes, 0 = off");
+    const auto threads = flags.integer_as<unsigned>(
         "threads", 1,
-        "BFS threads per batch (nas_oracle's --query-threads), 0 = all cores"));
+        "BFS threads per batch (nas_oracle's --query-threads), 0 = all cores");
 
     // Daemon flags.
     const std::string listen =
         flags.str("listen", "127.0.0.1", "IPv4 address to bind");
-    const auto port = static_cast<std::uint16_t>(
-        non_negative("port", 0, "TCP port, 0 = kernel-assigned ephemeral"));
+    const auto port = flags.integer_as<std::uint16_t>(
+        "port", 0, "TCP port, 0 = kernel-assigned ephemeral");
     const std::string port_file = flags.str(
         "port-file", "",
         "write the bound port number to this file once listening");
-    const auto max_conns = static_cast<std::size_t>(non_negative(
-        "max-conns", 256, "concurrent connections before \"ERR server busy\""));
-    const auto idle_timeout_ms = static_cast<std::uint64_t>(non_negative(
-        "idle-timeout-ms", 60000, "close connections idle this long, 0 = off"));
-    const auto max_batch = static_cast<std::uint64_t>(
-        non_negative("max-batch", 1 << 16, "largest accepted BATCH count"));
-    const auto queue_depth = static_cast<std::size_t>(non_negative(
-        "queue-depth", 64, "bridge jobs buffered before backpressure"));
-    const auto drain_timeout_ms = static_cast<std::uint64_t>(non_negative(
+    const auto max_conns = flags.integer_as<std::size_t>(
+        "max-conns", 256, "concurrent connections before \"ERR server busy\"");
+    const auto idle_timeout_ms = flags.integer_as<std::uint64_t>(
+        "idle-timeout-ms", 60000, "close connections idle this long, 0 = off");
+    const auto max_batch = flags.integer_as<std::uint64_t>(
+        "max-batch", 1 << 16, "largest accepted BATCH count");
+    const auto queue_depth = flags.integer_as<std::size_t>(
+        "queue-depth", 64, "bridge jobs buffered before backpressure");
+    const auto drain_timeout_ms = flags.integer_as<std::uint64_t>(
         "drain-timeout-ms", 5000,
-        "graceful-shutdown bound for flushing in-flight batches"));
+        "graceful-shutdown bound for flushing in-flight batches");
     const std::string stats_path = flags.str(
         "stats-json", "",
         "write final oracle + server stats JSON here on clean shutdown");
