@@ -30,11 +30,11 @@ using namespace nas;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1200, "target vertex count"));
+  const auto n =
+      run::vertex_count("n", flags.integer("n", 1200, "target vertex count"));
   const std::string csv_path = flags.str("csv", "", "CSV output path");
-  const auto run_threads = static_cast<unsigned>(
-      flags.integer("run-threads", 1, "concurrent scenarios, 0 = all cores"));
+  const auto run_threads = flags.integer_as<unsigned>(
+      "run-threads", 1, "concurrent scenarios, 0 = all cores");
   if (flags.handle_help(
           "ablation_ruling — ruling set vs sampling; the c knob")) {
     return 0;

@@ -103,8 +103,8 @@ std::vector<std::string> shared_cells(const Row& row) {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1000, "target vertex count"));
+  const auto n =
+      run::vertex_count("n", flags.integer("n", 1000, "target vertex count"));
   const std::string family = flags.str("family", "er", "workload family");
   const std::string csv_path = flags.str("csv", "", "CSV output path");
   const std::string json_path = flags.str("json", "", "perf JSON output path");

@@ -2,11 +2,12 @@
 //
 // Experiment execution (generate/build/measure/verify/emit) lives in
 // src/run — benches construct a ScenarioMatrix, call run::Runner, and
-// post-process the rows.  What remains here is presentation: the banner and
-// the log-log slope the scaling benches report against theory.
+// post-process the rows.  The scaling experiments S1/S2 need no binary at
+// all: they are scenario files under bench/scenarios/ run by nas_run, and
+// their claims are asserted by test_golden_sinks.  What remains here is
+// presentation: the banner every bench prints.
 #pragma once
 
-#include <cmath>
 #include <iostream>
 #include <string>
 
@@ -18,30 +19,11 @@
 
 namespace nas::bench {
 
-/// Prints the per-row verification status line the scaling benches share;
-/// no-op for rows that did not verify.  Returns row.passed().
-inline bool print_verify_status(const run::ResultRow& row) {
-  if (row.verified) {
-    std::cout << "  verify n=" << row.n << ": " << row.report.pairs_checked
-              << " pairs, max mult "
-              << util::Table::num(row.report.max_multiplicative) << " -> "
-              << (row.report.bound_ok ? "OK" : "BOUND VIOLATED") << "\n";
-  }
-  return row.passed();
-}
-
 /// Prints the standard experiment banner.
 inline void banner(const std::string& id, const std::string& what) {
   std::cout << "=== " << id << " — " << what << " ===\n"
             << "    (paper: Elkin & Matar, Near-Additive Spanners In Low\n"
             << "     Polynomial Deterministic CONGEST Time, PODC 2019)\n\n";
-}
-
-/// log-log slope between two (x, y) samples; the scaling benches report it
-/// against the theoretical exponent.
-inline double loglog_slope(double x0, double y0, double x1, double y1) {
-  if (x0 <= 0 || x1 <= 0 || y0 <= 0 || y1 <= 0 || x0 == x1) return 0.0;
-  return (std::log(y1) - std::log(y0)) / (std::log(x1) - std::log(x0));
 }
 
 }  // namespace nas::bench

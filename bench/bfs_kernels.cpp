@@ -73,10 +73,10 @@ int main(int argc, char** argv) {
       "family", "er,er_dense,ba,grid", "comma-separated graph families");
   const std::string n_spec =
       flags.str("n", "4000,16000", "comma-separated target vertex counts");
-  const auto seed = static_cast<std::uint64_t>(
-      flags.integer("seed", 1, "graph generator seed"));
-  const auto num_sources = static_cast<std::uint64_t>(
-      flags.integer("sources", 16, "BFS sources per (family, n) point"));
+  const auto seed =
+      flags.integer_as<std::uint64_t>("seed", 1, "graph generator seed");
+  const auto num_sources = flags.integer_as<std::uint64_t>(
+      "sources", 16, "BFS sources per (family, n) point");
   const std::string json_path =
       flags.str("json", "BENCH_bfs.json", "perf JSON output path");
   if (flags.handle_help(

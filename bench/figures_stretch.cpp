@@ -27,13 +27,14 @@ int main(int argc, char** argv) {
   matrix.families = {"torus", "grid"};
   matrix.epss = {0.5, 0.25};
   matrix.seeds = {23};
-  matrix.ns = {static_cast<graph::Vertex>(
-      flags.integer("n", 900, "target vertex count"))};
-  matrix.kappas = {static_cast<int>(flags.integer("kappa", 3, "kappa"))};
+  const auto n =
+      run::vertex_count("n", flags.integer("n", 900, "target vertex count"));
+  matrix.ns = {n};
+  matrix.kappas = {flags.integer_as<int>("kappa", 3, "kappa")};
   matrix.rhos = {flags.real("rho", 0.4, "rho")};
   const std::string csv_path = flags.str("csv", "", "CSV output path");
-  const auto run_threads = static_cast<unsigned>(
-      flags.integer("run-threads", 1, "concurrent scenarios, 0 = all cores"));
+  const auto run_threads = flags.integer_as<unsigned>(
+      "run-threads", 1, "concurrent scenarios, 0 = all cores");
   if (flags.handle_help(
           "figures_stretch — F6-F8: per-distance stretch decomposition")) {
     return 0;

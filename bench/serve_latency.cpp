@@ -84,18 +84,18 @@ int main(int argc, char** argv) {
     const std::string port_file = flags.str(
         "port-file", "", "read the port number from this file (nas_served "
                          "--port-file counterpart)");
-    const auto connections = static_cast<std::size_t>(
-        flags.integer("connections", 4, "concurrent client connections"));
-    const auto batch = static_cast<std::uint64_t>(flags.integer(
-        "batch", 64, "queries per BATCH request (1 uses single Q lines)"));
+    const auto connections = flags.integer_as<std::size_t>(
+        "connections", 4, "concurrent client connections");
+    const auto batch = flags.integer_as<std::uint64_t>(
+        "batch", 64, "queries per BATCH request (1 uses single Q lines)");
     const std::string query_file = flags.str(
         "query-file", "", "replay 'u v' request lines from this file");
     const std::string workload = flags.str(
         "workload", "zipf", "generate requests: uniform|zipf");
-    const auto num_queries = static_cast<std::uint64_t>(
-        flags.integer("queries", 10000, "generated requests"));
-    const auto workload_seed = static_cast<std::uint64_t>(
-        flags.integer("workload-seed", 1, "request-generator seed"));
+    const auto num_queries =
+        flags.integer_as<std::uint64_t>("queries", 10000, "generated requests");
+    const auto workload_seed = flags.integer_as<std::uint64_t>(
+        "workload-seed", 1, "request-generator seed");
     const double zipf_theta =
         flags.real("zipf-theta", 0.99, "zipf skew exponent");
     const std::string answers_path = flags.str(

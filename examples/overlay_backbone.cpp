@@ -15,6 +15,7 @@
 #include "congest/protocols.hpp"
 #include "core/elkin_matar.hpp"
 #include "graph/generators.hpp"
+#include "run/scenario.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 #include "verify/stretch.hpp"
@@ -22,10 +23,10 @@
 int main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1500, "target vertex count"));
+  const auto n =
+      run::vertex_count("n", flags.integer("n", 1500, "target vertex count"));
   const double eps = flags.real("eps", 0.25, "epsilon");
-  const int kappa = static_cast<int>(flags.integer("kappa", 4, "kappa"));
+  const int kappa = flags.integer_as<int>("kappa", 4, "kappa");
   const double rho = flags.real("rho", 0.45, "rho");
   if (flags.handle_help("overlay_backbone — sparse communication backbone")) {
     return 0;

@@ -10,6 +10,7 @@
 
 #include "core/elkin_matar.hpp"
 #include "graph/generators.hpp"
+#include "run/scenario.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 #include "verify/stretch.hpp"
@@ -17,8 +18,8 @@
 int main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1000, "target vertex count"));
+  const auto n =
+      run::vertex_count("n", flags.integer("n", 1000, "target vertex count"));
   const std::string family =
       flags.str("family", "er_dense", "workload family");
   if (flags.handle_help(

@@ -6,6 +6,7 @@
 
 #include "core/elkin_matar.hpp"
 #include "graph/generators.hpp"
+#include "run/scenario.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 #include "verify/stretch.hpp"
@@ -13,11 +14,11 @@
 int main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
-  const auto n = static_cast<graph::Vertex>(
-      flags.integer("n", 1000, "target vertex count"));
+  const auto n =
+      run::vertex_count("n", flags.integer("n", 1000, "target vertex count"));
   const std::string family = flags.str("family", "er", "workload family");
   const double eps = flags.real("eps", 0.25, "epsilon");
-  const int kappa = static_cast<int>(flags.integer("kappa", 3, "kappa"));
+  const int kappa = flags.integer_as<int>("kappa", 3, "kappa");
   const double rho = flags.real("rho", 0.4, "rho");
   if (flags.handle_help("quickstart — build a spanner and print what you got")) {
     return 0;

@@ -23,6 +23,7 @@ constexpr const char* kHeaderPragmaOnce = "header-pragma-once";
 constexpr const char* kHeaderUsingNamespace = "header-using-namespace";
 constexpr const char* kFlagDescription = "flag-description";
 constexpr const char* kUncheckedIo = "unchecked-io";
+constexpr const char* kFlagNarrowing = "flag-narrowing";
 
 [[nodiscard]] bool is_ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
@@ -560,6 +561,59 @@ void check_flag_description(FileContext& ctx) {
   }
 }
 
+// flag-narrowing: a named cast whose operand is a `flags.integer(...)` call
+// (`static_cast<int>(flags.integer("kappa", 3, "kappa"))`) wraps an
+// out-of-range value silently — `--kappa 4294967299` ran as kappa = 3.
+// `flags.integer_as<T>()` range-checks instead, and `run::vertex_count`
+// does for vertex counts.  Keyed on the conventional `flags` receiver, like
+// flag-description; the cast may span lines.
+void check_flag_narrowing(FileContext& ctx) {
+  const auto& code = ctx.stripped.code;
+  // Moves (line, col) to the last code character strictly before it,
+  // looking across lines; false at the start of the file.
+  const auto previous = [&code](std::size_t& line, std::size_t& col) {
+    for (;;) {
+      const std::size_t last =
+          col == 0 ? std::string::npos
+                   : code[line].find_last_not_of(" \t", col - 1);
+      if (last != std::string::npos) {
+        col = last;
+        return true;
+      }
+      if (line == 0) return false;
+      --line;
+      col = code[line].size();
+    }
+  };
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const auto& text = code[i];
+    for (std::size_t pos = find_word(text, "flags", 0);
+         pos != std::string::npos; pos = find_word(text, "flags", pos + 1)) {
+      if (pos > 0 && text[pos - 1] == '.') continue;
+      if (text.compare(pos + 5, 9, ".integer(") != 0) continue;
+      // Walk back: `(`, then the `>` closing the cast's template argument,
+      // its matching `<`, and the cast keyword in front of it.
+      std::size_t line = i;
+      std::size_t col = pos;
+      if (!previous(line, col) || code[line][col] != '(') continue;
+      if (!previous(line, col) || code[line][col] != '>') continue;
+      int depth = 1;
+      while (depth > 0 && previous(line, col)) {
+        if (code[line][col] == '>') ++depth;
+        if (code[line][col] == '<') --depth;
+      }
+      if (depth != 0 || !previous(line, col)) continue;
+      const std::size_t end = col + 1;
+      while (col > 0 && is_ident_char(code[line][col - 1])) --col;
+      if (!has_suffix(code[line].substr(col, end - col), "_cast")) continue;
+      ctx.report(line, kFlagNarrowing,
+                 "cast of flags.integer() wraps out-of-range values "
+                 "silently; use flags.integer_as<T>() (run::vertex_count "
+                 "for vertex counts)");
+    }
+  }
+}
+
 // unchecked-io: a raw POSIX transfer call (`::read`, `::write`, ...) whose
 // result is discarded loses short transfers and EINTR silently, and a bare
 // `::close` before error reporting is the classic errno clobber.  The rule
@@ -646,6 +700,9 @@ const std::vector<RuleInfo>& rules() {
        "position in src/ or tools/ (result discarded: short transfers, "
        "EINTR, and errno are lost); deliberate discards use "
        "`const int rc = ::close(fd); static_cast<void>(rc);`"},
+      {kFlagNarrowing,
+       "a named cast (static_cast<T>(...)) of a flags.integer() call; use "
+       "flags.integer_as<T>() or run::vertex_count, which range-check"},
   };
   return kRules;
 }
@@ -669,6 +726,7 @@ std::vector<Diagnostic> lint_file(const std::string& path,
   check_header_hygiene(ctx);
   check_flag_description(ctx);
   check_unchecked_io(ctx);
+  check_flag_narrowing(ctx);
 
   // Stable order: by line, then rule-set order, independent of check order.
   std::map<std::string, std::size_t> rule_rank;

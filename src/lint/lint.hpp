@@ -24,6 +24,11 @@
 //   flag-description        every util::Flags accessor on the conventional
 //                           `flags` receiver passes a description (the
 //                           third argument), so --help stays complete
+//   unchecked-io            a raw ::read/::write/::close/... result discarded
+//                           in src/ or tools/
+//   flag-narrowing          no named cast of a `flags.integer(...)` result
+//                           (it wraps out-of-range values); integer_as<T>
+//                           and run::vertex_count range-check instead
 //
 // Escape hatch: a `// nas-lint: allow(rule-a, rule-b)` comment on the same
 // line or the line directly above suppresses those rules for that line.

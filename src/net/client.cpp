@@ -3,18 +3,14 @@
 #include <cerrno>
 #include <stdexcept>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define NAS_HAVE_POSIX_NET 1
 #include <sys/socket.h>
 #include <sys/time.h>
-#endif
 
 namespace nas::net {
 
 LineClient::LineClient(const std::string& host, std::uint16_t port,
                        std::uint64_t recv_timeout_ms)
     : fd_(connect_blocking(host, port)) {
-#if NAS_HAVE_POSIX_NET
   if (recv_timeout_ms > 0) {
     timeval tv{};
     tv.tv_sec = static_cast<time_t>(recv_timeout_ms / 1000);
@@ -24,9 +20,6 @@ LineClient::LineClient(const std::string& host, std::uint16_t port,
       throw_errno("set receive timeout", errno);
     }
   }
-#else
-  static_cast<void>(recv_timeout_ms);
-#endif
 }
 
 void LineClient::send(std::string_view text) {
@@ -88,10 +81,8 @@ std::vector<std::string> LineClient::recv_lines(std::size_t n) {
 }
 
 void LineClient::shutdown_write() {
-#if NAS_HAVE_POSIX_NET
   const int rc = ::shutdown(fd_.get(), SHUT_WR);
   static_cast<void>(rc);  // already-reset peers are fine; reads continue
-#endif
 }
 
 }  // namespace nas::net

@@ -3,21 +3,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 #include "net/posix_io.hpp"
 
-#if defined(__linux__)
 #include <sys/epoll.h>
 #include <unistd.h>
-#elif defined(__unix__) || defined(__APPLE__)
-#include <poll.h>
-#endif
 
 namespace nas::net {
-
-#if defined(__linux__)
 
 namespace {
 
@@ -90,92 +83,5 @@ const std::vector<ReadyEvent>& EventLoop::wait(int timeout_ms) {
             [](const ReadyEvent& a, const ReadyEvent& b) { return a.fd < b.fd; });
   return ready_;
 }
-
-#elif defined(__unix__) || defined(__APPLE__)
-
-EventLoop::EventLoop() = default;
-EventLoop::~EventLoop() = default;
-
-void EventLoop::add(int fd, bool want_read, bool want_write) {
-  const auto it = std::lower_bound(
-      interests_.begin(), interests_.end(), fd,
-      [](const Interest& a, int key) { return a.fd < key; });
-  if (it != interests_.end() && it->fd == fd) {
-    throw std::runtime_error("net: descriptor " + std::to_string(fd) +
-                             " registered twice");
-  }
-  interests_.insert(it, {fd, want_read, want_write});
-  ++watched_;
-}
-
-void EventLoop::modify(int fd, bool want_read, bool want_write) {
-  const auto it = std::lower_bound(
-      interests_.begin(), interests_.end(), fd,
-      [](const Interest& a, int key) { return a.fd < key; });
-  if (it == interests_.end() || it->fd != fd) {
-    throw std::runtime_error("net: descriptor " + std::to_string(fd) +
-                             " not registered");
-  }
-  it->want_read = want_read;
-  it->want_write = want_write;
-}
-
-void EventLoop::remove(int fd) {
-  const auto it = std::lower_bound(
-      interests_.begin(), interests_.end(), fd,
-      [](const Interest& a, int key) { return a.fd < key; });
-  if (it == interests_.end() || it->fd != fd) {
-    throw std::runtime_error("net: descriptor " + std::to_string(fd) +
-                             " not registered");
-  }
-  interests_.erase(it);
-  --watched_;
-}
-
-const std::vector<ReadyEvent>& EventLoop::wait(int timeout_ms) {
-  ready_.clear();
-  std::vector<pollfd> fds;
-  fds.reserve(interests_.size());
-  for (const auto& interest : interests_) {
-    pollfd p{};
-    p.fd = interest.fd;
-    if (interest.want_read) p.events |= POLLIN;
-    if (interest.want_write) p.events |= POLLOUT;
-    fds.push_back(p);
-  }
-  const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                       timeout_ms);
-  if (n < 0) {
-    const int saved_errno = errno;
-    if (saved_errno == EINTR) return ready_;
-    throw_errno("wait for readiness", saved_errno);
-  }
-  // interests_ is sorted by fd, so the ready set comes out sorted too.
-  for (const auto& p : fds) {
-    if (p.revents == 0) continue;
-    ReadyEvent out;
-    out.fd = p.fd;
-    out.readable = (p.revents & POLLIN) != 0;
-    out.writable = (p.revents & POLLOUT) != 0;
-    out.broken = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-    ready_.push_back(out);
-  }
-  return ready_;
-}
-
-#else  // neither epoll nor poll: the posix_io stubs throw before any loop
-       // is constructed, but the class must still link.
-
-EventLoop::EventLoop() {
-  throw std::runtime_error(
-      "net: readiness multiplexing is unavailable on this platform");
-}
-EventLoop::~EventLoop() = default;
-void EventLoop::add(int, bool, bool) {}
-void EventLoop::modify(int, bool, bool) {}
-void EventLoop::remove(int) {}
-const std::vector<ReadyEvent>& EventLoop::wait(int) { return ready_; }
-
-#endif
 
 }  // namespace nas::net

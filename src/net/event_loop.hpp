@@ -1,5 +1,5 @@
-// Readiness multiplexer for the serving daemon: epoll on Linux, poll(2)
-// everywhere else POSIX, behind one interface.
+// Readiness multiplexer for the serving daemon, over epoll (the build is
+// Linux-only).
 //
 // Deliberately minimal — level-triggered readiness only, one interest set
 // per descriptor, no callbacks.  The Server owns all session logic; the
@@ -20,7 +20,7 @@ struct ReadyEvent {
   int fd = -1;
   bool readable = false;
   bool writable = false;
-  /// Error/hangup condition (EPOLLERR/EPOLLHUP, POLLERR/POLLHUP/POLLNVAL).
+  /// Error/hangup condition (EPOLLERR/EPOLLHUP).
   /// Reported alongside `readable` so handlers observe the pending EOF or
   /// the captured socket error through the normal read path.
   bool broken = false;
@@ -50,18 +50,7 @@ class EventLoop {
  private:
   std::size_t watched_ = 0;
   std::vector<ReadyEvent> ready_;
-#if defined(__linux__)
   int epoll_fd_ = -1;
-#else
-  // poll fallback: interest list kept sorted by fd (insertion point via
-  // binary search), rebuilt into pollfds on every wait.
-  struct Interest {
-    int fd;
-    bool want_read;
-    bool want_write;
-  };
-  std::vector<Interest> interests_;
-#endif
 };
 
 }  // namespace nas::net

@@ -4,15 +4,12 @@
 #include <cstring>
 #include <stdexcept>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define NAS_HAVE_POSIX_NET 1
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace nas::net {
 
@@ -25,7 +22,6 @@ void throw_errno(const std::string& what, int saved_errno) {
 }
 
 void UniqueFd::reset(int fd) {
-#if NAS_HAVE_POSIX_NET
   if (fd_ >= 0) {
     // POSIX leaves the descriptor state unspecified after an EINTR'd close;
     // retrying could close a descriptor another thread just received.  One
@@ -34,11 +30,8 @@ void UniqueFd::reset(int fd) {
     const int rc = ::close(fd_);
     static_cast<void>(rc);
   }
-#endif
   fd_ = fd;
 }
-
-#if NAS_HAVE_POSIX_NET
 
 IoResult read_some(int fd, void* buf, std::size_t cap) {
   for (;;) {
@@ -221,31 +214,5 @@ void signal_wakeup(int wakeup_write_fd) {
     return;
   }
 }
-
-#else  // !NAS_HAVE_POSIX_NET
-
-namespace {
-[[noreturn]] void unsupported() {
-  throw std::runtime_error(
-      "net: POSIX sockets are unavailable on this platform");
-}
-}  // namespace
-
-IoResult read_some(int, void*, std::size_t) { unsupported(); }
-IoResult write_some(int, const void*, std::size_t) { unsupported(); }
-bool write_all(int, const void*, std::size_t, int*) { unsupported(); }
-AcceptResult accept_connection(int) { unsupported(); }
-void set_nonblocking(int) { unsupported(); }
-void set_cloexec(int) { unsupported(); }
-void set_nodelay(int) { unsupported(); }
-UniqueFd open_listen_socket(const std::string&, std::uint16_t, int,
-                            std::uint16_t*) {
-  unsupported();
-}
-UniqueFd connect_blocking(const std::string&, std::uint16_t) { unsupported(); }
-WakeupPipe open_wakeup_pipe() { unsupported(); }
-void signal_wakeup(int) { unsupported(); }
-
-#endif
 
 }  // namespace nas::net

@@ -19,9 +19,7 @@
 //
 // Socket writes use MSG_NOSIGNAL so a peer that disappeared mid-response
 // surfaces as EPIPE on the one affected connection instead of a
-// process-killing SIGPIPE.  On non-POSIX platforms every entry point throws
-// std::runtime_error — the serving daemon is a POSIX feature; the rest of
-// the repo builds and runs without it.
+// process-killing SIGPIPE.
 #pragma once
 
 #include <cstddef>

@@ -12,8 +12,8 @@ ScenarioSpec oracle_build_flags(const util::Flags& flags) {
   spec.n = vertex_count(
       "n",
       flags.integer("n", spec.n, "target vertex count (generated families)"));
-  spec.seed = static_cast<std::uint64_t>(flags.integer(
-      "seed", static_cast<std::int64_t>(spec.seed), "graph generator seed"));
+  spec.seed = flags.integer_as<std::uint64_t>(
+      "seed", spec.seed, "graph generator seed");
   spec.eps = flags.real("eps", spec.eps, "schedule epsilon");
   spec.kappa = flags.integer_as<int>("kappa", spec.kappa, "schedule kappa");
   spec.rho = flags.real("rho", spec.rho, "schedule rho");

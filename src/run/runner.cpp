@@ -75,7 +75,9 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
       spanner = std::make_shared<const graph::Graph>(std::move(result.spanner));
     } else if (spec.algo == "identity") {
       // Spanner = input graph: zero construction cost, trivially (1, 0)
-      // stretch.  Isolates verifier throughput (bench/verify_scaling).
+      // stretch.  Isolates verifier throughput: time it with
+      // `nas_run --algo identity --verify-mode exact --verify-threads T
+      // --timing true`.
       spanner = g;
     } else {
       throw std::invalid_argument("unknown algo \"" + spec.algo +

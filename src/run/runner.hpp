@@ -69,7 +69,7 @@ struct ResultRow {
   double oracle_wall_ms = 0.0;  ///< workload generation + batch answering
   double snapshot_warmup_ms = 0.0;  ///< snapshot reload (v2: mmap) time
 
-  // Retained only when RunOptions::keep_graphs (wrappers that post-process
+  // Retained only when RunOptions::keep_graphs (callers that post-process
   // the actual spanner, e.g. per-distance error profiles or edge-list dumps).
   std::shared_ptr<const graph::Graph> graph;
   std::shared_ptr<const graph::Graph> spanner;

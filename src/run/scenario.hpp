@@ -5,13 +5,14 @@
 // algorithm and its parameters, the round-engine workers for the Algorithm 1
 // cross-check, and the verification settings.  A ScenarioMatrix holds one
 // list of values per axis and expands to the cross product in a fixed,
-// documented order, so every consumer — the nas_run CLI, the bench wrappers,
-// the tests — agrees on which row is which.
+// documented order, so every consumer — the nas_run CLI, the benches, the
+// tests — agrees on which row is which.
 //
 // Matrices come from three places and all share the same key names:
 //   * flags:          nas_run --family er,grid --n 512,1024 --eps 0.25,0.5
 //   * scenario file:  one `key = value[, value...]` per line, '#' comments
-//   * code:           fill the fields directly (the bench wrappers do this)
+//                     (bench/scenarios/ holds the S1/S2 scaling experiments)
+//   * code:           fill the fields directly (the benches do this)
 #pragma once
 
 #include <cstdint>

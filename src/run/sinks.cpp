@@ -62,9 +62,6 @@ util::JsonObject row_fields(const ResultRow& row, const SinkOptions& options) {
     fields.emplace_back(
         "warmup_ms", JsonValue::literal(format_real(row.snapshot_warmup_ms, 4)));
   }
-  if (options.extra) {
-    for (auto& field : options.extra(row)) fields.push_back(std::move(field));
-  }
   return fields;
 }
 

@@ -5,13 +5,8 @@
 // field is a pure function of the spec vector, so the bytes written are
 // identical at any Runner/verifier thread count.  `timing == true` appends
 // the wall-clock columns for perf-trajectory artifacts.
-//
-// Wrappers with derived columns (e.g. bench/verify_scaling's speedup) append
-// them via `SinkOptions::extra`; string values go through the central JSON
-// escaper like every built-in field.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -23,8 +18,6 @@ namespace nas::run {
 
 struct SinkOptions {
   bool timing = false;  ///< include nondeterministic wall-clock fields
-  /// Optional per-row derived fields, appended after the built-in schema.
-  std::function<util::JsonObject(const ResultRow&)> extra;
 };
 
 /// The unified row schema (ordered key -> value), the single source of truth

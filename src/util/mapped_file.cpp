@@ -4,15 +4,10 @@
 #include <cstring>
 #include <stdexcept>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define NAS_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#include <fstream>
-#endif
 
 namespace nas::util {
 
@@ -31,7 +26,6 @@ namespace {
 
 std::shared_ptr<const MappedFile> MappedFile::map(const std::string& path) {
   std::shared_ptr<MappedFile> file(new MappedFile());
-#if NAS_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) fail(path, "open", errno);
   struct stat st {};
@@ -51,36 +45,16 @@ std::shared_ptr<const MappedFile> MappedFile::map(const std::string& path) {
       fail(path, "mmap", saved_errno);
     }
     file->data_ = static_cast<const std::byte*>(addr);
-    file->mmapped_ = true;
   }
   const int rc = ::close(fd);  // the mapping survives the descriptor
   static_cast<void>(rc);
-#else
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("MappedFile: cannot open " + path);
-  const auto size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0);
-  if (size > 0) {
-    auto* buffer = new std::byte[size];
-    if (!in.read(reinterpret_cast<char*>(buffer), size)) {
-      delete[] buffer;
-      throw std::runtime_error("MappedFile: short read from " + path);
-    }
-    file->data_ = buffer;
-    file->size_ = size;
-  }
-#endif
   return file;
 }
 
 MappedFile::~MappedFile() {
-#if NAS_HAVE_MMAP
-  if (mmapped_ && data_ != nullptr) {
+  if (data_ != nullptr) {
     ::munmap(const_cast<std::byte*>(data_), size_);
   }
-#else
-  delete[] data_;
-#endif
 }
 
 }  // namespace nas::util

@@ -3,10 +3,9 @@
 // The v2 binary snapshot path serves CSR arrays straight out of the page
 // cache: a MappedFile pins one read-only mapping of the file, and every
 // structure that points into it (graph::Csr views and the oracles serving
-// them) keeps the mapping alive through a shared_ptr.  On POSIX
-// this is a real mmap — warmup is O(1) page-table work plus whatever the
-// kernel faults in on demand; elsewhere the file is read into one heap
-// buffer with the same interface, so callers never branch on platform.
+// them) keeps the mapping alive through a shared_ptr.  This is a real
+// mmap — warmup is O(1) page-table work plus whatever the kernel faults in
+// on demand.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +33,6 @@ class MappedFile {
 
   const std::byte* data_ = nullptr;
   std::size_t size_ = 0;
-  bool mmapped_ = false;  ///< true: munmap on destroy; false: delete[] buffer
 };
 
 }  // namespace nas::util

@@ -7,14 +7,9 @@
 #include <filesystem>
 #include <stdexcept>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define NAS_HAVE_O_EXCL 1
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#include <fstream>
-#endif
 
 namespace nas::util {
 
@@ -24,11 +19,7 @@ std::string create_temp_file_in(const std::string& dir,
   // One process-wide counter across all prefixes: simpler, and uniqueness
   // never depends on it anyway — the exclusive create is the arbiter.
   static std::atomic<std::uint64_t> counter{0};
-#if NAS_HAVE_O_EXCL
   const auto pid = static_cast<std::uint64_t>(::getpid());
-#else
-  const std::uint64_t pid = 0;
-#endif
   // 1000 tries means 1000 occupied candidates in a row; at that point the
   // directory is wedged (a crashed sweep, a full disk masquerading via
   // EEXIST never happens) and failing loudly beats spinning.
@@ -36,7 +27,6 @@ std::string create_temp_file_in(const std::string& dir,
     const auto name = prefix + std::to_string(pid) + "_" +
                       std::to_string(counter.fetch_add(1)) + suffix;
     const std::string path = (std::filesystem::path(dir) / name).string();
-#if NAS_HAVE_O_EXCL
     const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0600);
     if (fd >= 0) {
       const int rc = ::close(fd);
@@ -47,17 +37,6 @@ std::string create_temp_file_in(const std::string& dir,
     if (saved_errno == EEXIST) continue;  // taken (pid reuse, stale file)
     throw std::runtime_error("temp_file: cannot create " + path + ": " +
                              std::strerror(saved_errno));
-#else
-    // Non-POSIX fallback: exists-then-create is not atomic, but the counter
-    // still separates threads within this process.
-    std::error_code ec;
-    if (std::filesystem::exists(path, ec)) continue;
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      throw std::runtime_error("temp_file: cannot create " + path);
-    }
-    return path;
-#endif
   }
   throw std::runtime_error(
       "temp_file: exhausted 1000 candidate names under " + dir);

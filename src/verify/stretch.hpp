@@ -47,7 +47,7 @@ struct StretchReport {
 /// Field-by-field bit equality of two reports, doubles compared by bit
 /// pattern (so -0.0 vs 0.0 or differently-rounded sums count as
 /// divergence).  The single authoritative comparison behind the
-/// determinism tests and bench/verify_scaling — keep it in sync with
+/// determinism tests (test_verify_parallel) — keep it in sync with
 /// StretchReport's fields.
 [[nodiscard]] bool bit_identical(const StretchReport& a,
                                  const StretchReport& b);

@@ -171,6 +171,23 @@ TEST(Lint, UncheckedIoScopedToSrcAndTools) {
   EXPECT_FALSE(lint_file("tools/unchecked_io.cpp", body).empty());
 }
 
+TEST(Lint, FlagNarrowingFiresOnCastsOfIntegerFlags) {
+  const auto diags =
+      lint_file("bench/flag_narrowing.cpp", corpus("flag_narrowing.cpp"));
+  // Each cast is reported on the line of its cast keyword, also when the
+  // flags.integer() operand sits on the next line; integer_as<T>, a call
+  // that range-checks (vertex_count), an uncast read, another receiver and
+  // string contents stay silent.
+  EXPECT_EQ(keyed(diags), (std::vector<std::string>{
+                              "bench/flag_narrowing.cpp:5:flag-narrowing",
+                              "bench/flag_narrowing.cpp:6:flag-narrowing",
+                              "bench/flag_narrowing.cpp:8:flag-narrowing",
+                          }));
+  ASSERT_FALSE(diags.empty());
+  EXPECT_NE(diags[0].message.find("flags.integer_as<T>()"),
+            std::string::npos);
+}
+
 TEST(Lint, AllowCommentSuppressesExactlyTheNamedRule) {
   const auto diags =
       lint_file("src/x/allow_comment.cpp", corpus("allow_comment.cpp"));
@@ -221,6 +238,7 @@ TEST(Lint, RuleRegistryMatchesDocumentedSet) {
                        "header-using-namespace",
                        "flag-description",
                        "unchecked-io",
+                       "flag-narrowing",
                    }));
   // The allowlist stays tiny and documented: the two opt-in headers.
   EXPECT_EQ(nas::lint::allowlist().size(), 2u);

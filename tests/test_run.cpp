@@ -419,17 +419,4 @@ TEST(Sinks, TimingColumnsAreOptIn) {
   EXPECT_NE(timed.find("verify_ms"), std::string::npos);
 }
 
-TEST(Sinks, ExtraFieldsAppendAfterSchema) {
-  run::ResultRow row;
-  run::SinkOptions options;
-  options.extra = [](const run::ResultRow&) {
-    return util::JsonObject{
-        {"custom", util::JsonValue::str("va\"lue")}};
-  };
-  const auto json = run::render_json({row}, options);
-  EXPECT_NE(json.find("\"custom\": \"va\\\"lue\""), std::string::npos);
-  const auto csv = run::render_csv({row}, options);
-  EXPECT_NE(csv.find("custom"), std::string::npos);
-}
-
 }  // namespace

@@ -437,7 +437,6 @@ TEST(TempFile, ConcurrentCreatorsNeverCollide) {
   std::filesystem::remove_all(dir);
 }
 
-#if defined(__linux__)
 TEST(MappedFile, MmapFailureSurvivesDescriptorCleanup) {
   // A directory passes open+fstat but fails at mmap (ENODEV), which is
   // exactly the path that closes the descriptor before throwing.
@@ -452,6 +451,5 @@ TEST(MappedFile, MmapFailureSurvivesDescriptorCleanup) {
     EXPECT_NE(msg.find(std::strerror(ENODEV)), std::string::npos) << msg;
   }
 }
-#endif
 
 }  // namespace

@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
         "workload", "", "generate requests: uniform|zipf (empty = none)");
     const auto num_queries =
         flags.integer_as<std::uint64_t>("queries", 1000, "generated requests");
-    const auto workload_seed = static_cast<std::uint64_t>(
-        flags.integer("workload-seed", 1, "request-generator seed"));
+    const auto workload_seed = flags.integer_as<std::uint64_t>(
+        "workload-seed", 1, "request-generator seed");
     const double zipf_theta =
         flags.real("zipf-theta", 0.99, "zipf skew exponent");
 
