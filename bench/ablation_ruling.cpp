@@ -28,7 +28,9 @@
 
 using namespace nas;
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto n =
       run::vertex_count("n", flags.integer("n", 1200, "target vertex count"));
@@ -131,4 +133,10 @@ int main(int argc, char** argv) {
   std::cout << "  -> the deterministic construction has zero variance by\n"
                "     construction — the property the paper trades rounds for.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("ablation_ruling", argc, argv, bench_main);
 }

@@ -8,15 +8,25 @@
 // Rows: every vertex a center over a (delta, cap) grid, plus one
 // sparse-center row shaped like a construction phase-1 run (every 400th
 // vertex a center, delta = 16, cap above the center count, so no list ever
-// fills).  Per row it reports `buffered` (arrival entries held for sorting)
-// and `receivers_scanned` next to `messages` and wall-clock.
+// fills).  Per row it reports `buffered` (arrival entries held for sorting),
+// `receivers_scanned` and `origin_words` (origin-mask words read by the
+// masked regime, 0 where the pull pass ran) next to `messages` and
+// wall-clock.
 //
-// Work gate (nonzero exit on violation): on the er and er_dense families the
-// sparse row must hold buffered <= messages / kBufferedFactor.  A pass that
-// buffers every arrival has buffered == messages; buffering only the origins
-// new to a receiver leaves about one entry per accepted origin, which is
-// messages / (average degree): ratio 8.0 on er, 32.0 on er_dense (n=1000 and
-// n=8000).
+// Work gates (nonzero exit on violation):
+//   * buffered: on the er and er_dense families the sparse row must hold
+//     buffered <= messages / kBufferedFactor.  A pass that buffers every
+//     arrival has buffered == messages; buffering only the origins new to a
+//     receiver leaves about one entry per accepted origin, which is
+//     messages / (average degree): ratio 8.0 on er, 32.0 on er_dense (n=1000
+//     and n=8000).
+//   * origin words: on er_dense, when the sparse row has at least
+//     kMaskedMinCenters centers, it must run masked and read
+//     0 < origin_words <= messages / kOriginWordFactor.  One mask word
+//     replaces the up-to-|S| offer entries a neighbor delivers, and a
+//     receiver stops reading once it has seen every center; messages /
+//     origin_words is 25.0 at n=8,000 (20 centers) and 37.9 at n=16,000
+//     (40 centers).
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -35,6 +45,8 @@ using namespace nas;
 namespace {
 
 constexpr std::uint64_t kBufferedFactor = 4;
+constexpr std::uint64_t kOriginWordFactor = 2;
+constexpr std::size_t kMaskedMinCenters = 16;
 constexpr graph::Vertex kSparseStride = 400;
 constexpr std::uint64_t kSparseDelta = 16;
 
@@ -96,12 +108,11 @@ std::vector<std::string> shared_cells(const Row& row) {
   add(row.popular);
   add(res.buffered);
   add(res.receivers_scanned);
+  add(res.origin_words);
   return cells;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto n =
       run::vertex_count("n", flags.integer("n", 1000, "target vertex count"));
@@ -134,14 +145,20 @@ int main(int argc, char** argv) {
   const bool gated = family == "er" || family == "er_dense";
   const bool work_gate_ok =
       !gated || gate_row.buffered <= gate_row.messages / kBufferedFactor;
+  const bool word_gated =
+      family == "er_dense" && sparse.size() >= kMaskedMinCenters;
+  const bool word_gate_ok =
+      !word_gated ||
+      (gate_row.origin_words > 0 &&
+       gate_row.origin_words <= gate_row.messages / kOriginWordFactor);
 
   util::CsvWriter csv(csv_path, {"centers", "delta", "cap", "rounds",
                                  "schedule", "messages", "max_edge_layer_load",
                                  "popular", "buffered", "receivers_scanned",
-                                 "complete_ok"});
+                                 "origin_words", "complete_ok"});
   util::Table t({"centers", "delta", "cap", "rounds", "= 1+delta*cap",
                  "messages", "max edge load/layer (<=cap)", "#popular",
-                 "buffered", "receivers scanned",
+                 "buffered", "receivers scanned", "origin words",
                  "unpopular knowledge complete", "ms"});
   bool all_complete = true;
   for (const Row& row : rows) {
@@ -159,7 +176,10 @@ int main(int argc, char** argv) {
             << "per-edge layer load never exceeds cap (CONGEST capacity);\n"
             << "popularity counts grow with delta and shrink with cap.\n"
             << "work gate (er, er_dense): sparse row buffered <= messages / "
-            << kBufferedFactor << ".\n";
+            << kBufferedFactor << ".\n"
+            << "origin-word gate (er_dense, >= " << kMaskedMinCenters
+            << " sparse centers): 0 < origin_words <= messages / "
+            << kOriginWordFactor << ".\n";
   if (!all_complete) {
     std::cout << "ERROR: an unpopular center missed a center within delta.\n";
   }
@@ -167,6 +187,11 @@ int main(int argc, char** argv) {
     std::cout << "ERROR: sparse row buffered " << gate_row.buffered
               << " > messages " << gate_row.messages << " / "
               << kBufferedFactor << ".\n";
+  }
+  if (!word_gate_ok) {
+    std::cout << "ERROR: sparse row origin_words " << gate_row.origin_words
+              << " not in (0, messages " << gate_row.messages << " / "
+              << kOriginWordFactor << "].\n";
   }
 
   if (!json_path.empty()) {
@@ -190,6 +215,7 @@ int main(int argc, char** argv) {
           {"popular", num(row.popular)},
           {"buffered", num(row.res.buffered)},
           {"receivers_scanned", num(row.res.receivers_scanned)},
+          {"origin_words", num(row.res.origin_words)},
           {"wall_ms",
            util::JsonValue::literal(run::format_real(row.wall_ms, 4))},
           {"complete", util::JsonValue::boolean(row.complete)},
@@ -209,5 +235,11 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << rows.size() << " rows to " << json_path << "\n";
   }
 
-  return all_complete && work_gate_ok ? 0 : 1;
+  return all_complete && work_gate_ok && word_gate_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("alg1_popularity", argc, argv, bench_main);
 }

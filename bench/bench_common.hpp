@@ -5,7 +5,9 @@
 // post-process the rows.  The scaling experiments S1/S2 need no binary at
 // all: they are scenario files under bench/scenarios/ run by nas_run, and
 // their claims are asserted by test_golden_sinks.  What remains here is
-// presentation: the banner every bench prints.
+// presentation: the banner every bench prints.  Every bench's main runs its
+// body through util::guarded_main (util/flags.hpp), as the examples do, so a
+// bad flag value exits 2 with a message naming the flag.
 #pragma once
 
 #include <iostream>

@@ -6,15 +6,53 @@
 //   * the [Elk05] additive term beta_E it improves upon, and
 //   * the exact Lemma-2.16 pair (M_ell, A_ell) our integer schedule proves,
 //     in both paper mode (rescaled internal eps) and practical mode.
+//
+// Exit 1 unless beta grows as eps' shrinks at every (kappa, rho) of the
+// surface, the eq. (18) shape the printed checks name.
+#include <array>
 #include <cmath>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/params.hpp"
 
 using namespace nas;
 
-int main(int argc, char** argv) {
+namespace {
+
+// The surface's axes; eps' descends, so beta must ascend along it.
+constexpr std::array kEps{1.0, 0.5, 0.25};
+constexpr std::array kKappa{3, 4, 8, 16, 64, 256, 1024};
+constexpr std::array kRho{0.45, 0.35, 0.25};
+
+bool valid(int kappa, double rho) {
+  return rho >= 1.0 / kappa && kappa * rho >= 1.0;
+}
+
+/// The (kappa, rho) points where beta does not grow strictly as eps' shrinks.
+std::vector<std::string> eps_monotonicity_failures() {
+  std::vector<std::string> failures;
+  for (const int kappa : kKappa) {
+    for (const double rho : kRho) {
+      if (!valid(kappa, rho)) continue;
+      double previous = 0.0;
+      for (const double eps : kEps) {
+        const double beta = core::Params::beta_formula_eq18(eps, kappa, rho);
+        if (!(beta > previous)) {
+          failures.push_back("kappa=" + std::to_string(kappa) +
+                             " rho=" + util::Table::num(rho));
+          break;
+        }
+        previous = beta;
+      }
+    }
+  }
+  return failures;
+}
+
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const std::string csv_path = flags.str("csv", "", "CSV output path");
   if (flags.handle_help("beta_formula — E1: the additive term beta")) return 0;
@@ -28,10 +66,10 @@ int main(int argc, char** argv) {
   std::cout << "beta surface (paper mode, n = 10^6 for the schedule):\n";
   util::Table t({"eps'", "kappa", "rho", "ell", "beta eq.(18)",
                  "beta_E [Elk05]", "beta_E / beta", "exact A_ell (paper mode)"});
-  for (const double eps : {1.0, 0.5, 0.25}) {
-    for (const int kappa : {3, 4, 8, 16, 64, 256, 1024}) {
-      for (const double rho : {0.45, 0.35, 0.25}) {
-        if (rho < 1.0 / kappa || kappa * rho < 1.0) continue;
+  for (const double eps : kEps) {
+    for (const int kappa : kKappa) {
+      for (const double rho : kRho) {
+        if (!valid(kappa, rho)) continue;
         const double beta = core::Params::beta_formula_eq18(eps, kappa, rho);
         const double beta_e =
             std::pow(kappa / eps, std::log2(static_cast<double>(kappa))) *
@@ -65,7 +103,7 @@ int main(int argc, char** argv) {
   for (const double eps : {0.5, 0.25, 0.125}) {
     for (const int kappa : {3, 4, 8}) {
       const double rho = 0.45;
-      if (rho < 1.0 / kappa || kappa * rho < 1.0) continue;
+      if (!valid(kappa, rho)) continue;
       const auto p = core::Params::practical(4096, eps, kappa, rho);
       tp.add_row({util::Table::num(eps, 3), std::to_string(kappa),
                   util::Table::num(rho), std::to_string(p.ell()),
@@ -86,5 +124,15 @@ int main(int argc, char** argv) {
       << "    beta_E/beta column crosses above 1 as kappa grows (with our\n"
       << "    literal constant choices around kappa ~ 10^3).  [Elk05]'s other\n"
       << "    deficit — superlinear *running time* — is experiment T1.\n";
-  return 0;
+  const std::vector<std::string> failures = eps_monotonicity_failures();
+  for (const std::string& at : failures) {
+    std::cout << "ERROR: beta does not grow as eps' shrinks at " << at << "\n";
+  }
+  return failures.empty() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("beta_formula", argc, argv, bench_main);
 }

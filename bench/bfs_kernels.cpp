@@ -65,9 +65,7 @@ struct KernelRow {
   bool identical = true;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const std::string family_spec = flags.str(
       "family", "er,er_dense,ba,grid", "comma-separated graph families");
@@ -90,7 +88,7 @@ int main(int argc, char** argv) {
   std::vector<graph::Vertex> n_list;
   for (const auto& item : run::split_list(n_spec)) {
     n_list.push_back(
-        static_cast<graph::Vertex>(util::Flags::parse_integer("n", item)));
+        run::vertex_count("n", util::Flags::parse_integer("n", item)));
   }
   if (family_list.empty() || n_list.empty()) {
     std::cerr << "error: empty --family or --n list\n";
@@ -211,4 +209,10 @@ int main(int argc, char** argv) {
   }
 
   return all_identical && work_gate_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("bfs_kernels", argc, argv, bench_main);
 }

@@ -11,7 +11,9 @@
 
 using namespace nas;
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto n =
       run::vertex_count("n", flags.integer("n", 1200, "target vertex count"));
@@ -82,4 +84,10 @@ int main(int argc, char** argv) {
     if (!ok) return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("figure5_interconnection", argc, argv, bench_main);
 }

@@ -21,7 +21,9 @@
 
 using namespace nas;
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   run::ScenarioMatrix matrix;
   matrix.families = {"torus", "grid"};
@@ -135,4 +137,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("figures_stretch", argc, argv, bench_main);
 }

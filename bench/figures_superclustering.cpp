@@ -21,7 +21,9 @@
 
 using namespace nas;
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto n =
       run::vertex_count("n", flags.integer("n", 1200, "target vertex count"));
@@ -92,4 +94,10 @@ int main(int argc, char** argv) {
             << "Theorem 2.2 separation/domination and Lemma 2.3 radii were\n"
             << "verified during the runs (the build throws on violation).\n";
   return lemmas_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("figures_superclustering", argc, argv, bench_main);
 }

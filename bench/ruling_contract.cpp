@@ -9,7 +9,9 @@
 
 using namespace nas;
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto n =
       run::vertex_count("n", flags.integer("n", 1500, "target vertex count"));
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
             << "sub-step for a larger domination radius, exactly the knob the\n"
             << "paper turns with c = 1/rho.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("ruling_contract", argc, argv, bench_main);
 }

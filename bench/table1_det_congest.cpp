@@ -13,7 +13,11 @@
 //
 // Part B adds what Table 1 cannot show on paper: *measured* rows for the new
 // algorithm on concrete workloads — simulated CONGEST rounds, spanner size,
-// and observed stretch, against the stated bounds.
+// and observed stretch, against the stated bounds.  Exit 1 unless every
+// Part B row is within its stretch bound (M_ell, A_ell) and its size bound
+// beta*n^{1+1/kappa}.  The round-bound column, beta*n^rho/rho with unit
+// constant, is printed for reference only: the practical schedule run here
+// charges about 18x more rounds at n ~ 1024.
 #include <cmath>
 #include <iostream>
 
@@ -32,9 +36,7 @@ double beta_elk05(double eps, int kappa, double rho) {
          std::pow(1.0 / rho, 1.0 / rho);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const std::string csv_path = flags.str("csv", "", "CSV output path");
   const double eps = flags.real("eps", 1.0, "epsilon");
@@ -74,7 +76,9 @@ int main(int argc, char** argv) {
   std::cout << "Part B — measured rows for the New algorithm (practical-mode\n"
                "schedule so the run is feasible at laptop n; same pipeline)\n";
   util::Table tb({"workload", "n", "m", "|H|", "size bound", "rounds",
-                  "rounds bound", "max mult", "max add", "bound ok"});
+                  "beta*n^rho/rho (not checked)", "max mult", "max add",
+                  "bound ok"});
+  bool all_ok = true;
   for (const std::string family : {"er", "grid", "caveman"}) {
     const auto g = graph::make_workload(family, 1024, 7);
     const auto params =
@@ -83,18 +87,31 @@ int main(int argc, char** argv) {
     const auto rep = verify::verify_stretch_sampled(
         g, result.spanner, params.stretch_multiplicative(),
         params.stretch_additive(), 48, 3);
+    const bool ok =
+        rep.bound_ok && static_cast<double>(result.spanner.num_edges()) <=
+                            params.size_bound();
+    all_ok = all_ok && ok;
     tb.add_row({family, std::to_string(g.num_vertices()),
                 std::to_string(g.num_edges()),
                 std::to_string(result.spanner.num_edges()),
-                util::Table::sci(params.beta_paper() *
-                                 std::pow(g.num_vertices(), 1.0 + 1.0 / kappa)),
+                util::Table::sci(params.size_bound()),
                 std::to_string(result.ledger.rounds()),
-                util::Table::sci(params.beta_paper() *
-                                 std::pow(g.num_vertices(), rho) / rho),
+                util::Table::sci(params.rounds_bound()),
                 util::Table::num(rep.max_multiplicative),
-                std::to_string(rep.max_additive),
-                rep.bound_ok ? "yes" : "NO"});
+                std::to_string(rep.max_additive), ok ? "yes" : "NO"});
   }
   tb.print(std::cout);
-  return 0;
+  std::cout << "  -> checked per row: stretch within (M_ell, A_ell) and |H| <=\n"
+               "     size bound.  Rounds are not checked against\n"
+               "     beta*n^rho/rho: the practical schedule charges more.\n";
+  if (!all_ok) {
+    std::cout << "ERROR: a Part B row broke its stretch or size bound.\n";
+  }
+  return all_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("table1_det_congest", argc, argv, bench_main);
 }

@@ -28,7 +28,9 @@
 
 using namespace nas;
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const auto n =
       run::vertex_count("n", flags.integer("n", 900, "target vertex count"));
@@ -121,4 +123,10 @@ int main(int argc, char** argv) {
       << "  * multiplicative baselines are cheaper in rounds but their error\n"
       << "    grows with distance.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::guarded_main("table2_survey", argc, argv, bench_main);
 }

@@ -17,7 +17,9 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
   const auto n =
@@ -98,4 +100,10 @@ int main(int argc, char** argv) {
             << "*d + " << params.stretch_additive()
             << " — relative error decays on long distances.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nas::util::guarded_main("approx_shortest_paths", argc, argv, example_main);
 }

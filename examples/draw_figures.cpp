@@ -17,7 +17,9 @@
 #include "run/scenario.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
   const auto n =
@@ -73,4 +75,10 @@ int main(int argc, char** argv) {
             << "render: neato -Tpng " << out_prefix
             << "1_superclusters.dot -o fig1.png\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nas::util::guarded_main("draw_figures", argc, argv, example_main);
 }

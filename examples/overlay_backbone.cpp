@@ -20,7 +20,9 @@
 #include "util/table.hpp"
 #include "verify/stretch.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
   const auto n =
@@ -81,4 +83,10 @@ int main(int argc, char** argv) {
             << " simulated CONGEST rounds, deterministic (no randomness to "
                "re-roll on failure).\n";
   return quality.bound_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nas::util::guarded_main("overlay_backbone", argc, argv, example_main);
 }

@@ -15,7 +15,9 @@
 #include "util/table.hpp"
 #include "verify/stretch.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
   const auto n =
@@ -77,4 +79,10 @@ int main(int argc, char** argv) {
             << "  * smaller eps   -> larger deltas and rounds, tighter\n"
             << "                     multiplicative error on long routes.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nas::util::guarded_main("parameter_playground", argc, argv, example_main);
 }

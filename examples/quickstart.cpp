@@ -11,7 +11,9 @@
 #include "util/table.hpp"
 #include "verify/stretch.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int example_main(int argc, char** argv) {
   using namespace nas;
   util::Flags flags(argc, argv);
   const auto n =
@@ -61,4 +63,10 @@ int main(int argc, char** argv) {
             << (stretch.bound_ok ? "  [bound OK]" : "  [BOUND VIOLATED]")
             << "\n";
   return stretch.bound_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return nas::util::guarded_main("quickstart", argc, argv, example_main);
 }

@@ -66,14 +66,8 @@ void check_alg1_reference(const Graph& g, const std::vector<Vertex>& centers,
   const Algorithm1Result exact =
       run_algorithm1_exact(g, centers, delta, cap, nullptr, threads);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    bool ok = fast.knowledge[v].size() == exact.knowledge[v].size() &&
-              fast.popular[v] == exact.popular[v];
-    for (std::size_t i = 0; ok && i < fast.knowledge[v].size(); ++i) {
-      ok = fast.knowledge[v][i].origin == exact.knowledge[v][i].origin &&
-           fast.knowledge[v][i].dist == exact.knowledge[v][i].dist &&
-           fast.knowledge[v][i].parent == exact.knowledge[v][i].parent;
-    }
-    if (!ok) {
+    if (!std::ranges::equal(fast.knowledge[v], exact.knowledge[v]) ||
+        fast.popular[v] != exact.popular[v]) {
       throw std::logic_error(
           "Algorithm 1 cross-check failed in phase " + std::to_string(phase) +
           " at vertex " + std::to_string(v) + " (cross_check_threads " +

@@ -1,10 +1,13 @@
 #include "core/popular.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_set>
+#include <utility>
 
 #include "congest/engine.hpp"
 #include "congest/parallel.hpp"
@@ -36,39 +39,351 @@ std::vector<std::uint8_t> validate(const Graph& g,
   return is_source;
 }
 
-/// An origin a vertex broadcasts in one layer, with the neighbor it learned
-/// the origin from (kInvalidVertex for a center announcing itself).
-struct Offer {
-  Vertex origin = kInvalidVertex;
-  Vertex via = kInvalidVertex;
-};
+/// Mask words per vertex for `centers` origins, one bit each.
+std::size_t mask_words(std::size_t centers) { return (centers + 63) / 64; }
+
+/// The origin index of the lowest set bit of mask word t.
+std::size_t lowest_origin(std::size_t t, std::uint64_t bits) {
+  return t * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
 
 /// The vertices that accepted origins in one layer and broadcast them in the
-/// next: vertices[i] offers offers[ends[i-1] .. ends[i]), ascending by origin.
+/// next.  vertices[i] offers ends[i] - ends[i-1] origins, each learned from
+/// neighbor sole[i] (kInvalidVertex: from several neighbors, or a center
+/// announcing itself).  The pull regime lists the origins in
+/// offers[ends[i-1] .. ends[i]), ascending; the masked regime holds them as
+/// the `words`-word mask masks[i * words ..].
 struct Frontier {
   std::vector<Vertex> vertices;
+  std::vector<Vertex> sole;
   std::vector<std::size_t> ends;
-  std::vector<Offer> offers;
+  std::vector<Vertex> offers;
+  std::vector<std::uint64_t> masks;
+  std::size_t words = 0;
 
   [[nodiscard]] bool empty() const { return vertices.empty(); }
-  [[nodiscard]] std::span<const Offer> offers_of(std::size_t i) const {
-    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
-    return {offers.data() + begin, ends[i] - begin};
+  [[nodiscard]] std::size_t begin_of(std::size_t i) const {
+    return i == 0 ? 0 : ends[i - 1];
   }
-  void close(Vertex v) {
+  [[nodiscard]] std::uint64_t offered(std::size_t i) const {
+    return ends[i] - begin_of(i);
+  }
+  [[nodiscard]] std::span<const Vertex> offers_of(std::size_t i) const {
+    return {offers.data() + begin_of(i), ends[i] - begin_of(i)};
+  }
+  [[nodiscard]] std::span<const std::uint64_t> mask_of(std::size_t i) const {
+    return {masks.data() + i * words, words};
+  }
+  void close(Vertex v, Vertex sender, std::size_t count) {
     vertices.push_back(v);
-    ends.push_back(offers.size());
+    sole.push_back(sender);
+    ends.push_back((ends.empty() ? 0 : ends.back()) + count);
   }
   void clear() {
     vertices.clear();
+    sole.clear();
     ends.clear();
     offers.clear();
+    masks.clear();
   }
 };
 
+/// The neighbor every record of `run` came from, or kInvalidVertex.
+Vertex sole_sender(std::span<const Knowledge> run) {
+  const Vertex p = run.front().parent;
+  const auto from_p = [p](const Knowledge& k) { return k.parent == p; };
+  return std::ranges::all_of(run, from_p) ? p : kInvalidVertex;
+}
+
+/// An accepted record until the run ends: the vertex that accepted it, and
+/// its Knowledge without dist (the layer it was accepted in gives that).
+struct Staged {
+  Vertex owner = kInvalidVertex;
+  Vertex origin = kInvalidVertex;
+  Vertex parent = kInvalidVertex;
+};
+
+/// The staged records in acceptance order, in fixed-size chunks: appending
+/// never copies, so resident memory tracks the records accepted.
+class StagingLog {
+ public:
+  void push(const Staged& s) {
+    if (chunks_.empty() || chunks_.back().size() == kChunk) {
+      chunks_.emplace_back().reserve(kChunk);
+    }
+    chunks_.back().push_back(s);
+    ++size_;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const Staged& operator[](std::size_t r) const {
+    return chunks_[r / kChunk][r % kChunk];
+  }
+  /// Calls visit(record) in acceptance order, freeing each chunk once read.
+  template <typename Visit>
+  void drain(Visit&& visit) {
+    for (std::vector<Staged>& chunk : chunks_) {
+      for (const Staged& s : chunk) visit(s);
+      std::vector<Staged>().swap(chunk);
+    }
+    chunks_.clear();
+    size_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = std::size_t{1} << 15;
+  std::vector<std::vector<Staged>> chunks_;
+  std::size_t size_ = 0;
+};
+
+/// run_algorithm1's layered pass, in either regime (popular.hpp).  The
+/// acceptances are staged in acceptance order; take_store() groups them per
+/// vertex with one counting-sort pass.
+class LayeredPass {
+ public:
+  LayeredPass(const Graph& g, std::uint64_t cap, Algorithm1Result& res)
+      : g_(g),
+        cap_(cap),
+        res_(res),
+        count_(g.num_vertices(), 0),
+        mark_(g.num_vertices(), 0),
+        slot_(g.num_vertices(), 0) {}
+
+  void run_pull(const std::vector<std::uint8_t>& is_source,
+                std::uint64_t delta);
+  void run_masked(const std::vector<Vertex>& sources, std::uint64_t delta);
+
+  [[nodiscard]] bool full(Vertex v) const { return (mark_[v] & kFull) != 0; }
+  /// The accepted records grouped per vertex; call once, after the run.
+  [[nodiscard]] KnowledgeStore take_store();
+
+ private:
+  /// Charges the frontier's broadcast and queues this layer's receivers:
+  /// the frontier's neighbors that may learn something.
+  void queue_receivers();
+  /// Stages the records w accepted this layer (ascending by origin) and
+  /// closes w's entry in the next frontier; the caller adds the offers.
+  void accept_run(Vertex w, std::span<const Knowledge> run) {
+    for (const Knowledge& k : run) {
+      log_.push({.owner = w, .origin = k.origin, .parent = k.parent});
+    }
+    count_[w] += run.size();
+    if (count_[w] >= cap_) mark_[w] |= kFull;
+    next_.close(w, sole_sender(run), run.size());
+  }
+  void end_layer() {
+    for (Vertex u : frontier_.vertices) mark_[u] &= ~kInFrontier;
+    std::swap(frontier_, next_);
+    next_.clear();
+    layer_end_.push_back(log_.size());
+  }
+
+  const Graph& g_;
+  const std::uint64_t cap_;
+  Algorithm1Result& res_;
+  StagingLog log_;
+  // layer_end_[d - 1]: how many staged records have dist <= d.
+  std::vector<std::size_t> layer_end_;
+  std::vector<std::uint64_t> count_;  // records accepted so far, per vertex
+  // Per-vertex flags in one byte, so the per-edge tests stay in L1 cache.
+  static constexpr std::uint8_t kInFrontier = 1;  // slot_ holds its index
+  static constexpr std::uint8_t kQueued = 2;      // a receiver this layer
+  static constexpr std::uint8_t kFull = 4;        // cap records accepted
+  std::vector<std::uint8_t> mark_;
+  std::vector<Vertex> slot_;
+  std::vector<Vertex> receivers_;
+  Frontier frontier_;
+  Frontier next_;
+};
+
+KnowledgeStore LayeredPass::take_store() {
+  std::vector<std::size_t> offsets(count_.size() + 1, 0);
+  std::partial_sum(count_.begin(), count_.end(), offsets.begin() + 1);
+  std::vector<Knowledge> records(log_.size());
+  std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
+  std::size_t r = 0;
+  std::uint32_t dist = 1;
+  log_.drain([&](const Staged& s) {
+    while (r == layer_end_[dist - 1]) ++dist;
+    records[fill[s.owner]++] = {
+        .origin = s.origin, .dist = dist, .parent = s.parent};
+    ++r;
+  });
+  return {std::move(offsets), std::move(records)};
+}
+
+void LayeredPass::queue_receivers() {
+  receivers_.clear();
+  for (std::size_t i = 0; i < frontier_.vertices.size(); ++i) {
+    const Vertex u = frontier_.vertices[i];
+    const std::uint64_t offered = frontier_.offered(i);
+    mark_[u] |= kInFrontier;
+    slot_[u] = static_cast<Vertex>(i);
+    // Broadcasting k origins over a cap-round layer puts k <= cap messages
+    // on each incident edge-direction: the CONGEST window invariant.
+    res_.max_edge_layer_load = std::max(res_.max_edge_layer_load, offered);
+    res_.messages += offered * g_.degree(u);
+    for (Vertex w : g_.neighbors(u)) {
+      // Skip w if already queued, if its list is full (every arrival is
+      // discarded), or if it delivered every origin u offers, so knows them.
+      if ((mark_[w] & (kQueued | kFull)) != 0 || frontier_.sole[i] == w) {
+        continue;
+      }
+      mark_[w] |= kQueued;
+      receivers_.push_back(w);
+    }
+  }
+  for (Vertex w : receivers_) mark_[w] &= ~kQueued;
+  res_.receivers_scanned += receivers_.size();
+}
+
+void LayeredPass::run_pull(const std::vector<std::uint8_t>& is_source,
+                           std::uint64_t delta) {
+  const Vertex n = g_.num_vertices();
+  // Layer 0: every source announces itself.
+  for (Vertex s = 0; s < n; ++s) {
+    if (is_source[s] == 0) continue;
+    frontier_.offers.push_back(s);
+    frontier_.close(s, kInvalidVertex, 1);
+  }
+  // known[o] == stamp while the receiver being scanned knows origin o.
+  std::vector<std::uint64_t> known(n, 0);
+  std::uint64_t stamp = 0;
+  // last[v]: v's latest staged record; before[r]: the record staged before
+  // r by the same vertex.  The chain lists what a receiver knows.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> last(n, kNone);
+  std::vector<std::size_t> before;
+  // (origin, smallest sender) new to a receiver
+  std::vector<Knowledge> fresh;
+
+  for (std::uint64_t layer = 1; layer <= delta && !frontier_.empty(); ++layer) {
+    const auto dist = static_cast<std::uint32_t>(layer);
+    queue_receivers();
+    // A receiver's acceptances depend only on earlier layers, so the
+    // receivers may be visited in any order.
+    for (Vertex w : receivers_) {
+      ++stamp;
+      if (is_source[w] != 0) known[w] = stamp;
+      for (std::size_t r = last[w]; r != kNone; r = before[r]) {
+        known[log_[r].origin] = stamp;
+      }
+      // Neighbors ascend, so the first sender of an origin is the smallest.
+      fresh.clear();
+      for (Vertex u : g_.neighbors(w)) {
+        if ((mark_[u] & kInFrontier) == 0) continue;
+        for (Vertex o : frontier_.offers_of(slot_[u])) {
+          if (known[o] == stamp) continue;
+          known[o] = stamp;
+          fresh.push_back({.origin = o, .dist = dist, .parent = u});
+        }
+      }
+      if (fresh.empty()) continue;
+      res_.buffered += fresh.size();
+      std::ranges::sort(fresh, {}, &Knowledge::origin);
+      const std::span<const Knowledge> run =
+          std::span(fresh).first(std::min(fresh.size(), cap_ - count_[w]));
+      for (const Knowledge& k : run) {
+        before.push_back(last[w]);
+        last[w] = before.size() - 1;
+        next_.offers.push_back(k.origin);
+      }
+      accept_run(w, run);
+    }
+    end_layer();
+  }
+}
+
+void LayeredPass::run_masked(const std::vector<Vertex>& sources,
+                             std::uint64_t delta) {
+  const Vertex n = g_.num_vertices();
+  // Bit j stands for center[j]; centers ascend, so bits ascend by origin.
+  std::vector<Vertex> center = sources;
+  std::ranges::sort(center);
+  const std::size_t words = mask_words(center.size());
+  frontier_.words = words;
+  next_.words = words;
+  // known[v * words ..]: the origins v knows (itself, if a center).
+  std::vector<std::uint64_t> known(std::size_t{n} * words, 0);
+  // Layer 0: every center announces itself, in ascending order.
+  frontier_.masks.assign(center.size() * words, 0);
+  for (std::size_t j = 0; j < center.size(); ++j) {
+    const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+    known[std::size_t{center[j]} * words + j / 64] |= bit;
+    frontier_.masks[j * words + j / 64] = bit;
+    frontier_.close(center[j], kInvalidVertex, 1);
+  }
+  std::vector<std::uint64_t> seen(words);
+  std::vector<std::uint64_t> kept(words);
+  std::vector<Knowledge> run;  // the records a receiver accepts
+  // parent[j]: the first (smallest) neighbor that offered center[j] to the
+  // receiver being scanned; read only for bits new to it.
+  std::vector<Vertex> parent(center.size(), kInvalidVertex);
+
+  for (std::uint64_t layer = 1; layer <= delta && !frontier_.empty(); ++layer) {
+    const auto dist = static_cast<std::uint32_t>(layer);
+    queue_receivers();
+    for (Vertex w : receivers_) {
+      const std::span<std::uint64_t> known_w(
+          known.data() + std::size_t{w} * words, words);
+      std::ranges::copy(known_w, seen.begin());
+      // Once every center is seen, later neighbors can add nothing.
+      std::size_t unseen = center.size();
+      for (const std::uint64_t word : known_w) {
+        unseen -= static_cast<std::size_t>(std::popcount(word));
+      }
+      for (Vertex u : g_.neighbors(w)) {
+        if (unseen == 0) break;
+        if ((mark_[u] & kInFrontier) == 0) continue;
+        const std::size_t i = slot_[u];
+        if (frontier_.sole[i] == w) continue;  // w delivered all of them
+        res_.origin_words += words;
+        const std::span<const std::uint64_t> offered = frontier_.mask_of(i);
+        for (std::size_t t = 0; t < words; ++t) {
+          std::uint64_t bits = offered[t] & ~seen[t];
+          unseen -= static_cast<std::size_t>(std::popcount(bits));
+          seen[t] |= bits;
+          for (; bits != 0; bits &= bits - 1) {
+            parent[lowest_origin(t, bits)] = u;
+          }
+        }
+      }
+      // The fill rule: accept the lowest cap - size new origins.
+      std::uint64_t room = cap_ - count_[w];
+      run.clear();
+      for (std::size_t t = 0; t < words; ++t) {
+        std::uint64_t bits = seen[t] & ~known_w[t];
+        res_.buffered += static_cast<std::uint64_t>(std::popcount(bits));
+        kept[t] = 0;
+        for (; bits != 0 && room > 0; bits &= bits - 1, --room) {
+          const std::size_t j = lowest_origin(t, bits);
+          run.push_back(
+              {.origin = center[j], .dist = dist, .parent = parent[j]});
+          kept[t] |= bits & (~bits + 1);
+        }
+        known_w[t] |= kept[t];
+      }
+      if (run.empty()) continue;  // nothing new: w stays silent
+      next_.masks.insert(next_.masks.end(), kept.begin(), kept.end());
+      accept_run(w, run);
+    }
+    end_layer();
+  }
+}
+
 }  // namespace
 
-const Knowledge* find_knowledge(const std::vector<Knowledge>& list,
+KnowledgeStore::KnowledgeStore(std::vector<std::size_t> offsets,
+                               std::vector<Knowledge> records)
+    : offsets_(std::move(offsets)), records_(std::move(records)) {
+  if (offsets_.empty() || offsets_.front() != 0 ||
+      offsets_.back() != records_.size() ||
+      !std::ranges::is_sorted(offsets_)) {
+    throw std::invalid_argument(
+        "KnowledgeStore: offsets must ascend from 0 to the record count");
+  }
+}
+
+const Knowledge* find_knowledge(std::span<const Knowledge> list,
                                 Vertex origin) {
   for (const Knowledge& k : list) {
     if (k.origin == origin) return &k;
@@ -81,91 +396,19 @@ Algorithm1Result run_algorithm1(const Graph& g,
                                 std::uint64_t delta, std::uint64_t cap,
                                 congest::Ledger* ledger) {
   const std::vector<std::uint8_t> is_source = validate(g, sources, delta, cap);
-  const Vertex n = g.num_vertices();
 
   Algorithm1Result res;
-  res.knowledge.resize(n);
-  res.popular.assign(n, 0);
-
-  // Layer 0: every source announces itself.
-  Frontier frontier;
-  for (Vertex s = 0; s < n; ++s) {
-    if (is_source[s] == 0) continue;
-    frontier.offers.push_back({.origin = s, .via = kInvalidVertex});
-    frontier.close(s);
+  LayeredPass pass(g, cap, res);
+  // Masked iff a neighbor's W-word mask is no longer than the longest offer
+  // list (cap) it replaces; the rule and its measurement are in popular.hpp.
+  if (mask_words(sources.size()) <= cap) {
+    pass.run_masked(sources, delta);
+  } else {
+    pass.run_pull(is_source, delta);
   }
-  Frontier next;
-
-  // slot[u]: 1 + u's index in the frontier, 0 if u is not in it.
-  std::vector<std::size_t> slot(n, 0);
-  // Epoch marks: receiver_layer[w] == layer once w is queued this layer;
-  // known[o] == stamp while the receiver being scanned knows origin o.
-  std::vector<std::uint64_t> receiver_layer(n, 0);
-  std::vector<std::uint64_t> known(n, 0);
-  std::uint64_t stamp = 0;
-  std::vector<Vertex> receivers;
-  std::vector<Offer> fresh;  // (origin, smallest sender) new to a receiver
-
-  for (std::uint64_t layer = 1; layer <= delta && !frontier.empty(); ++layer) {
-    const auto dist = static_cast<std::uint32_t>(layer);
-    receivers.clear();
-    for (std::size_t i = 0; i < frontier.vertices.size(); ++i) {
-      const Vertex u = frontier.vertices[i];
-      const std::span<const Offer> offers = frontier.offers_of(i);
-      slot[u] = i + 1;
-      // Broadcasting k origins over a cap-round layer puts k <= cap messages
-      // on each incident edge-direction: the CONGEST window invariant.
-      res.max_edge_layer_load =
-          std::max<std::uint64_t>(res.max_edge_layer_load, offers.size());
-      res.messages += offers.size() * g.degree(u);
-      for (Vertex w : g.neighbors(u)) {
-        if (receiver_layer[w] == layer || res.knowledge[w].size() >= cap) {
-          continue;  // already queued, or list full: every arrival discarded
-        }
-        // w already knows every origin it delivered to u.
-        const auto from_w = [w](const Offer& o) { return o.via == w; };
-        if (std::ranges::all_of(offers, from_w)) continue;
-        receiver_layer[w] = layer;
-        receivers.push_back(w);
-      }
-    }
-    res.receivers_scanned += receivers.size();
-
-    // A receiver's acceptances depend only on earlier layers, so the
-    // receivers may be visited in any order.
-    next.clear();
-    for (Vertex w : receivers) {
-      std::vector<Knowledge>& list = res.knowledge[w];
-      ++stamp;
-      if (is_source[w] != 0) known[w] = stamp;
-      for (const Knowledge& k : list) known[k.origin] = stamp;
-      // Neighbors ascend, so the first sender of an origin is the smallest.
-      fresh.clear();
-      for (Vertex u : g.neighbors(w)) {
-        if (slot[u] == 0) continue;
-        for (const Offer& o : frontier.offers_of(slot[u] - 1)) {
-          if (known[o.origin] == stamp) continue;
-          known[o.origin] = stamp;
-          fresh.push_back({.origin = o.origin, .via = u});
-        }
-      }
-      if (fresh.empty()) continue;
-      res.buffered += fresh.size();
-      std::ranges::sort(fresh, {}, &Offer::origin);
-      const std::size_t take = std::min(fresh.size(), cap - list.size());
-      for (const Offer& o : std::span(fresh).first(take)) {
-        list.push_back({.origin = o.origin, .dist = dist, .parent = o.via});
-        next.offers.push_back(o);
-      }
-      next.close(w);
-    }
-    for (Vertex u : frontier.vertices) slot[u] = 0;
-    std::swap(frontier, next);
-  }
-
-  for (Vertex s : sources) {
-    res.popular[s] = res.knowledge[s].size() >= cap ? 1 : 0;
-  }
+  res.knowledge = pass.take_store();
+  res.popular.assign(g.num_vertices(), 0);
+  for (Vertex s : sources) res.popular[s] = pass.full(s) ? 1 : 0;
 
   res.rounds_charged = 1 + delta * cap;
   if (ledger != nullptr) {
@@ -185,12 +428,13 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
   const Vertex n = g.num_vertices();
 
   Algorithm1Result res;
-  res.knowledge.resize(n);
   res.popular.assign(n, 0);
 
   // Per-vertex state for the round-exact execution.  Everything below is
   // indexed by the executing vertex and touched by no one else, so the
   // program is safe on the multi-threaded engine at any thread count.
+  // lists[v]: v's knowledge list, flattened into res.knowledge at the end.
+  std::vector<std::vector<Knowledge>> lists(n);
   // known[v]: origins v has accepted (plus itself for sources).
   std::vector<std::unordered_set<Vertex>> known(n);
   for (Vertex s : sources) known[s].insert(s);
@@ -226,16 +470,16 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
       pending[v].clear();
       for (const auto& [o, u, d] : buf) {
         if (d > delta) continue;  // exploration is depth-bounded by δ
-        if (res.knowledge[v].size() >= cap) break;
+        if (lists[v].size() >= cap) break;
         if (!known[v].insert(o).second) continue;
-        res.knowledge[v].push_back({.origin = o, .dist = d, .parent = u});
+        lists[v].push_back({.origin = o, .dist = d, .parent = u});
         pending[v].push_back(o);
       }
       buf.clear();
     }
     if (layer_pos < pending[v].size()) {
       const Vertex o = pending[v][layer_pos];
-      const std::uint32_t d = find_knowledge(res.knowledge[v], o)->dist;
+      const std::uint32_t d = find_knowledge(lists[v], o)->dist;
       for (Vertex u : g.neighbors(v)) mbox.send(u, {.a = o, .b = d});
     }
   };
@@ -248,9 +492,15 @@ Algorithm1Result run_algorithm1_exact(const Graph& g,
   // is: round delta*cap+1 begins layer delta+1).
   res.messages = engine.messages_sent();
 
-  for (Vertex s : sources) {
-    res.popular[s] = res.knowledge[s].size() >= cap ? 1 : 0;
+  std::vector<std::size_t> offsets{0};
+  offsets.reserve(std::size_t{n} + 1);
+  std::vector<Knowledge> records;
+  for (const std::vector<Knowledge>& list : lists) {
+    records.insert(records.end(), list.begin(), list.end());
+    offsets.push_back(records.size());
   }
+  res.knowledge = KnowledgeStore(std::move(offsets), std::move(records));
+  for (Vertex s : sources) res.popular[s] = lists[s].size() >= cap ? 1 : 0;
   return res;
 }
 

@@ -214,4 +214,22 @@ class Flags {
   mutable std::vector<Description> descriptions_;
 };
 
+/// Runs a command-line binary's `body` and turns an exception escaping it (a
+/// bad flag value, an unknown workload family, an unreadable file) into
+/// "<name>: error: <what>" on stderr and exit code 2, the usage-error code of
+/// every binary here, instead of std::terminate:
+///
+///   int main(int argc, char** argv) {
+///     return util::guarded_main("my_bench", argc, argv, bench_main);
+///   }
+inline int guarded_main(const char* name, int argc, char** argv,
+                        int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << name << ": error: " << e.what() << "\n";
+    return 2;
+  }
+}
+
 }  // namespace nas::util

@@ -36,6 +36,61 @@ std::vector<std::pair<Vertex, std::uint32_t>> centers_within(
   return out;
 }
 
+/// The broadcast cost, recomputed from a run's lists: layer 0 announces
+/// each center to its neighbors, then a vertex broadcasts the origins it
+/// accepted at distance d in one layer.  `messages` counts d < delta, as
+/// run_algorithm1 charges; `final_layer` the d = delta broadcasts, whose
+/// arrivals lie beyond delta.  `load` is the worst per-edge-direction count
+/// in one charged layer.
+struct Broadcast {
+  std::uint64_t messages = 0;
+  std::uint64_t final_layer = 0;
+  std::uint64_t load = 0;
+};
+Broadcast broadcast_cost(const Graph& g, const Algorithm1Result& r,
+                         const std::vector<Vertex>& sources,
+                         std::uint64_t delta) {
+  Broadcast b;
+  for (Vertex s : sources) b.messages += g.degree(s);
+  b.load = sources.empty() ? 0 : 1;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    for (std::uint64_t d = 1; d <= delta; ++d) {
+      const auto at_d = [d](const core::Knowledge& k) { return k.dist == d; };
+      const auto k = static_cast<std::uint64_t>(
+          std::ranges::count_if(r.knowledge[v], at_d));
+      if (d == delta) {
+        b.final_layer += k * g.degree(v);
+      } else {
+        b.messages += k * g.degree(v);
+        b.load = std::max(b.load, k);
+      }
+    }
+  }
+  return b;
+}
+
+/// The lists and popularity flags must equal the exact engine's, and the
+/// counters must equal the cost recomputed from those lists.  The engine
+/// also sends the distance-delta broadcasts that run_algorithm1 does not
+/// charge, and it fills neither rounds_charged nor max_edge_layer_load.
+void expect_matches_exact(const Graph& g, const std::vector<Vertex>& sources,
+                          std::uint64_t delta, std::uint64_t cap,
+                          const Algorithm1Result& fast) {
+  const auto exact = core::run_algorithm1_exact(g, sources, delta, cap);
+  ASSERT_EQ(fast.knowledge.size(), exact.knowledge.size());
+  ASSERT_EQ(fast.knowledge.records(), exact.knowledge.records());
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(fast.knowledge[v], exact.knowledge[v]))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(fast.popular, exact.popular);
+  EXPECT_EQ(fast.rounds_charged, 1 + delta * cap);
+  const Broadcast b = broadcast_cost(g, exact, sources, delta);
+  EXPECT_EQ(fast.messages, b.messages);
+  EXPECT_EQ(exact.messages, b.messages + b.final_layer);
+  EXPECT_EQ(fast.max_edge_layer_load, b.load);
+}
+
 TEST(Algorithm1, ValidatesInputs) {
   const Graph g = graph::path(4);
   EXPECT_THROW(core::run_algorithm1(g, {0}, 0, 1), std::invalid_argument);
@@ -184,16 +239,7 @@ TEST_P(Algorithm1Contract, EventDrivenMatchesExactEngine) {
     sources.push_back(v);
   }
   const auto fast = core::run_algorithm1(g, sources, tc.delta, tc.cap);
-  const auto exact = core::run_algorithm1_exact(g, sources, tc.delta, tc.cap);
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(fast.knowledge[v].size(), exact.knowledge[v].size()) << v;
-    for (std::size_t i = 0; i < fast.knowledge[v].size(); ++i) {
-      EXPECT_EQ(fast.knowledge[v][i].origin, exact.knowledge[v][i].origin);
-      EXPECT_EQ(fast.knowledge[v][i].dist, exact.knowledge[v][i].dist);
-      EXPECT_EQ(fast.knowledge[v][i].parent, exact.knowledge[v][i].parent);
-    }
-    EXPECT_EQ(fast.popular[v], exact.popular[v]);
-  }
+  expect_matches_exact(g, sources, tc.delta, tc.cap, fast);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -214,6 +260,70 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(c.delta) + "_c" + std::to_string(c.cap) + "_s" +
              std::to_string(c.center_stride);
     });
+
+// The masked regime (one origin bit per center, W = ⌈|S|/64⌉ words per
+// vertex, chosen when W <= cap) against the exact engine: multi-word masks,
+// lists that fill (cap < |S|) and lists that never do, delta up to 16.
+// receivers_scanned and buffered were recorded from the pull pass, which
+// ran every one of these shapes before the masked regime existed.
+struct MaskedCase {
+  std::string family;
+  Vertex n;
+  Vertex stride;       // centers: every stride-th vertex ...
+  std::size_t count;   // ... up to this many
+  std::uint64_t delta;
+  std::uint64_t cap;
+  std::uint64_t receivers_scanned;
+  std::uint64_t buffered;
+};
+
+class Algorithm1Masked : public ::testing::TestWithParam<MaskedCase> {};
+
+TEST_P(Algorithm1Masked, MatchesExactEngineFieldByField) {
+  const auto& tc = GetParam();
+  const Graph g = graph::make_workload(tc.family, tc.n, 53);
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < g.num_vertices() && sources.size() < tc.count;
+       v += tc.stride) {
+    sources.push_back(v);
+  }
+  ASSERT_EQ(sources.size(), tc.count);
+  const auto fast = core::run_algorithm1(g, sources, tc.delta, tc.cap);
+  EXPECT_GT(fast.origin_words, 0u) << "the masked regime did not run";
+  EXPECT_EQ(fast.receivers_scanned, tc.receivers_scanned);
+  EXPECT_EQ(fast.buffered, tc.buffered);
+  expect_matches_exact(g, sources, tc.delta, tc.cap, fast);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Algorithm1Masked,
+    ::testing::Values(MaskedCase{"er", 260, 4, 65, 16, 66, 1306, 16835},
+                      MaskedCase{"er", 260, 2, 130, 4, 5, 415, 4441},
+                      MaskedCase{"er", 200, 5, 40, 16, 10, 444, 3736},
+                      MaskedCase{"ba", 300, 2, 130, 16, 3, 464, 2249},
+                      MaskedCase{"ba", 300, 4, 65, 8, 66, 1522, 19435},
+                      MaskedCase{"grid", 256, 3, 65, 16, 66, 3809, 14426},
+                      MaskedCase{"grid", 256, 1, 130, 16, 9, 720, 2812},
+                      MaskedCase{"geometric", 300, 4, 65, 16, 20, 1276, 7128},
+                      MaskedCase{"geometric", 300, 2, 130, 6, 131, 1798,
+                                 23375}),
+    [](const auto& param_info) {
+      const auto& c = param_info.param;
+      return c.family + "_s" + std::to_string(c.count) + "_d" +
+             std::to_string(c.delta) + "_c" + std::to_string(c.cap);
+    });
+
+// Phase 0's shape (every vertex a center, small cap): W = ⌈300/64⌉ = 5
+// exceeds cap = 4, so the pull pass runs and reads no mask words.
+TEST(Algorithm1, PhaseZeroShapeRunsThePullPass) {
+  const Graph g = graph::make_workload("er", 300, 53);
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) sources.push_back(v);
+  const auto fast = core::run_algorithm1(g, sources, 3, 4);
+  EXPECT_EQ(fast.origin_words, 0u);
+  EXPECT_GT(fast.receivers_scanned, 0u);
+  expect_matches_exact(g, sources, 3, 4, fast);
+}
 
 /// Folds every list's (origin, dist, parent), the popularity flags, and the
 /// message/load counters into one word.
@@ -248,11 +358,15 @@ TEST(Algorithm1, GoldenDigestsDenseSaturated) {
   const Graph g = graph::make_workload("er_dense", 2000, 43);
   const auto sources = every_kth(g, 1);
   const auto d1 = core::run_algorithm1(g, sources, 1, 13);
+  EXPECT_EQ(d1.origin_words, 0u);  // W = 32 > cap: the pull pass
+  EXPECT_EQ(d1.receivers_scanned, 2000u);
   EXPECT_EQ(d1.messages, 64022u);
   EXPECT_EQ(result_digest(d1), 0x31b58c469adf499eULL);
   const auto d2 = core::run_algorithm1(g, sources, 2, 13);
   EXPECT_EQ(d2.messages, 896308u);
   EXPECT_EQ(d2.max_edge_layer_load, 13u);
+  EXPECT_EQ(d2.origin_words, 0u);
+  EXPECT_EQ(d2.receivers_scanned, 2000u);
   EXPECT_EQ(result_digest(d2), 0x664965c4522ab6feULL);
 }
 
@@ -262,6 +376,9 @@ TEST(Algorithm1, GoldenDigestSparseCenters) {
   EXPECT_EQ(res.messages, 5117200u);
   EXPECT_EQ(res.max_edge_layer_load, 39u);
   EXPECT_EQ(result_digest(res), 0x73141431069c23adULL);
+  // W = 1 <= cap: the masked regime, with the pull pass's visit count.
+  EXPECT_GT(res.origin_words, 0u);
+  EXPECT_EQ(res.receivers_scanned, 15965u);
   // Only the origins new to a receiver are held for sorting: one per
   // acceptance here, since 40 centers never fill a cap-49 list.
   std::uint64_t accepted = 0;
